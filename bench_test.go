@@ -11,12 +11,16 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/fec"
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
@@ -209,6 +213,46 @@ func BenchmarkRealtime(b *testing.B) {
 	rate := float64(len(rxs[0])*len(rxs)*b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "samples/sec")
 	b.ReportMetric(rate/20e6, "realtime")
+}
+
+// BenchmarkViterbiSoft1500B times the soft-decision Viterbi kernel alone on
+// the trellis of a 1500-octet PSDU (16 SERVICE bits, the payload and 6 tail
+// bits) coded at rate 5/6, the MCS15 code, with BPSK-over-AWGN LLRs at
+// 8 dB Es/N0 depunctured to the mother-code stream. The decode runs into a
+// reused buffer after Reserve, as the PHY calls it, and reports ns per
+// trellis step.
+func BenchmarkViterbiSoft1500B(b *testing.B) {
+	const snrDB = 8
+	r := rand.New(rand.NewSource(1))
+	data := make([]byte, 16+8*1500+fec.ConstraintLength-1)
+	for i := 16; i < 16+8*1500; i++ {
+		data[i] = byte(r.Intn(2))
+	}
+	coded := fec.Encode(data, fec.Rate5_6)
+	sigma := math.Sqrt(math.Pow(10, -snrDB/10.0) / 2)
+	llr := make([]float64, len(coded))
+	for i, c := range coded {
+		y := 1 - 2*float64(c) + sigma*r.NormFloat64()
+		llr[i] = 2 * y / (sigma * sigma)
+	}
+	soft, err := fec.Depuncture(llr, len(data), fec.Rate5_6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := fec.NewViterbi()
+	v.Reserve(len(data))
+	dst := make([]byte, len(data))
+	if got, err := v.DecodeSoftInto(dst, soft, true); err != nil || !bytes.Equal(got, data) {
+		b.Fatalf("decode differs from the sent bits (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.DecodeSoftInto(dst, soft, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/step")
 }
 
 // BenchmarkE1Workers and BenchmarkE5Workers track the parallel engine: E1 is

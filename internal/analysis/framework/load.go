@@ -229,7 +229,9 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 }
 
 // walkTree calls addDir for every directory under root containing at least
-// one non-test Go file.
+// one non-test Go file. Like the go tool's "./...", it does not descend into
+// a nested module: a directory below root with its own go.mod belongs to
+// that module, not to the one being analyzed.
 func (l *Loader) walkTree(root string, addDir func(string)) error {
 	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -242,6 +244,11 @@ func (l *Loader) walkTree(root string, addDir func(string)) error {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor" || name == "node_modules") {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		names, err := goFilesIn(path, false)
 		if err != nil {

@@ -1,6 +1,10 @@
 package framework
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestSmokeLoadModule(t *testing.T) {
 	root, path, err := FindModule(".")
@@ -15,5 +19,40 @@ func TestSmokeLoadModule(t *testing.T) {
 	t.Logf("loaded %d packages", len(pkgs))
 	if len(pkgs) < 20 {
 		t.Fatalf("too few packages: %d", len(pkgs))
+	}
+}
+
+// TestLoadPatternsSkipsNestedModules checks that "./..." stops at a
+// directory with its own go.mod, as the go tool does: that code belongs to
+// another module and must not be linted as part of this one.
+func TestLoadPatternsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":          "module m\n",
+		"a/a.go":          "package a\n",
+		"nested/go.mod":   "module m/nested\n",
+		"nested/n.go":     "package nested\n",
+		"nested/sub/s.go": "package sub\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := &Loader{ModRoot: root, ModPath: "m"}
+	pkgs, err := l.LoadPatterns("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if len(got) != 1 || got[0] != "m/a" {
+		t.Fatalf("loaded %v, want only [m/a]", got)
 	}
 }

@@ -356,3 +356,144 @@ func TestViterbiReserveAvoidsDecodeAllocs(t *testing.T) {
 		t.Fatalf("DecodeSoftInto after Reserve allocated %.0f times per run, want 0", allocs)
 	}
 }
+
+// TestViterbiNonFiniteLLRs pins the defined outcome for NaN and ±Inf
+// soft inputs: NaN decodes as an erasure and ±Inf as ±full scale, which
+// here is the largest finite |llr| (4), and neither moves the scale.
+func TestViterbiNonFiniteLLRs(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	v := NewViterbi()
+	for trial := 0; trial < 20; trial++ {
+		data := addTail(randBits(r, 200))
+		llr := HardToLLR(nil, Encode(data, Rate1_2))
+		for i := range llr {
+			llr[i] *= float64(1 + r.Intn(4))
+		}
+		llr[0] = math.Copysign(4, llr[0]) // the finite peak is 4
+		bad := append([]float64(nil), llr...)
+		fixed := append([]float64(nil), llr...)
+		for k := 0; k < 30; k++ {
+			i := 1 + r.Intn(len(llr)-1)
+			switch r.Intn(3) {
+			case 0:
+				bad[i], fixed[i] = math.NaN(), 0
+			case 1:
+				bad[i], fixed[i] = math.Inf(1), 4
+			default:
+				bad[i], fixed[i] = math.Inf(-1), -4
+			}
+		}
+		terminated := trial%2 == 0
+		got, err := v.DecodeSoft(bad, terminated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceDecode(fixed, terminated); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: decode with NaN/±Inf differs from decode with the values replaced by 0/±4", trial)
+		}
+	}
+
+	// With no finite nonzero value at all the scale is arbitrary, so the
+	// result must still be the one the replaced input gives.
+	bad := []float64{math.NaN(), math.Inf(1), 0, math.Inf(-1), math.NaN(), math.NaN()}
+	fixed := []float64{0, 1, 0, -1, 0, 0}
+	got, err := v.DecodeSoft(bad, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceDecode(fixed, false); !bytes.Equal(got, want) {
+		t.Fatalf("all non-finite input decoded to %v, want %v", got, want)
+	}
+}
+
+// TestViterbiMaxPSDURange decodes the trellis of the largest 802.11n PSDU
+// (65,535 octets: 16 SERVICE bits, the payload and 6 tail bits, 524,302
+// steps) from full-scale hard LLRs, where the winning path metric grows to
+// about 2^44: the int64 metrics must neither overflow nor lose a tie.
+func TestViterbiMaxPSDURange(t *testing.T) {
+	r := rand.New(rand.NewSource(80))
+	data := make([]byte, 16+8*65535+ConstraintLength-1)
+	for i := 16; i < 16+8*65535; i++ {
+		data[i] = byte(r.Intn(2))
+	}
+	got, err := NewViterbi().DecodeHard(Encode(data, Rate1_2), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("noiseless decode of the largest PSDU trellis is not bit-exact")
+	}
+}
+
+// TestViterbiWideRangeMatchesReference puts one LLR of about 10^6 into
+// frames of small-integer confidences (1–3, with flips and erasures): the
+// small values must survive quantisation against that peak with their
+// exact ratios, ties included, so the decode equals the float64 reference
+// sweep.
+func TestViterbiWideRangeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(81))
+	v := NewViterbi()
+	for trial := 0; trial < 50; trial++ {
+		data := addTail(randBits(r, 100+r.Intn(300)))
+		llr := HardToLLR(nil, Encode(data, Rate1_2))
+		for i := range llr {
+			llr[i] *= float64(1 + r.Intn(3))
+			switch r.Intn(20) {
+			case 0:
+				llr[i] = -llr[i] // a confident error
+			case 1:
+				llr[i] = 0
+			}
+		}
+		llr[r.Intn(len(llr))] *= 1e6
+		terminated := trial%2 == 0
+		got, err := v.DecodeSoft(llr, terminated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceDecode(llr, terminated); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: decode with a 10^6 dynamic range differs from the reference sweep", trial)
+		}
+	}
+}
+
+// TestViterbiAWGNMatchesReference checks the integer decoder against the
+// float64 reference sweep on realistic soft input: BPSK-over-AWGN LLRs
+// (2y/σ²) at every coding rate, depunctured, from −1 to 5 dB Es/N0 — the
+// waterfall, where path metrics run close and a coarse quantiser would
+// flip decisions. Every frame must decode identically.
+func TestViterbiAWGNMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(82))
+	v := NewViterbi()
+	frames := 0
+	for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
+		for snrDB := -1; snrDB <= 5; snrDB++ {
+			sigma := math.Sqrt(math.Pow(10, -float64(snrDB)/10) / 2)
+			for f := 0; f < 64; f++ {
+				data := addTail(randBits(r, 200))
+				coded := Encode(data, rate)
+				llr := make([]float64, len(coded))
+				for i, c := range coded {
+					y := 1 - 2*float64(c) + sigma*r.NormFloat64()
+					llr[i] = 2 * y / (sigma * sigma)
+				}
+				soft, err := Depuncture(llr, len(data), rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				terminated := f%2 == 0
+				got, err := v.DecodeSoft(soft, terminated)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceDecode(soft, terminated); !bytes.Equal(got, want) {
+					t.Errorf("rate %v, %d dB, frame %d: decode differs from the reference sweep", rate, snrDB, f)
+				}
+				frames++
+			}
+		}
+	}
+	if frames != 4*7*64 {
+		t.Fatalf("corpus ran %d frames, want %d", frames, 4*7*64)
+	}
+}

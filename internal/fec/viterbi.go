@@ -1,5 +1,7 @@
 package fec
 
+//go:generate go test -run TestACSStepUpToDate -update .
+
 import (
 	"fmt"
 	"math"
@@ -11,11 +13,12 @@ import (
 // confidence. Hard-decision decoding is the special case llr ∈ {+1, −1}.
 //
 // A Viterbi value is not safe for concurrent use; create one per goroutine.
-// The decoder reuses its metric arrays across calls and grows its traceback
-// matrix on demand, so steady-state decoding does not allocate.
+// The decoder keeps its path metrics inline and grows its traceback matrix
+// on demand, so steady-state decoding does not allocate.
 type Viterbi struct {
-	metric     []float64
-	nextMetric []float64
+	// metrics holds the current and next path-metric vectors of the ACS
+	// loop, which swaps between them every trellis step.
+	metrics [2][numStates]int64
 	// survivors[t] packs, one bit per state, the low bit of the best
 	// predecessor of each state at trellis step t: bit ns is the survivor
 	// decision for state ns. Together with ns it reconstructs the
@@ -31,10 +34,7 @@ type Viterbi struct {
 
 // NewViterbi returns a decoder.
 func NewViterbi() *Viterbi {
-	return &Viterbi{
-		metric:     make([]float64, numStates),
-		nextMetric: make([]float64, numStates),
-	}
+	return &Viterbi{}
 }
 
 // Depuncture expands coded values received at the given rate back to the
@@ -96,15 +96,31 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // grown only when its capacity is short and returned resliced to one byte
 // per trellis step.
 //
+// Path metrics are int64. One scan finds the largest finite |llr|, and each
+// step quantises its two LLRs with the power-of-two scale that maps that
+// peak into (2^23, 2^24]. A power-of-two scale is exact in float64, so
+// hard (±1) and small-integer inputs quantise to exact integer multiples
+// and every metric sum and tie is the one float64 arithmetic gives. NaN
+// quantises to an erasure (0) and ±Inf to ±2^24, the full scale; neither
+// takes part in the peak scan. If the peak is below 2^-999 the scale is
+// capped at 2^1023.
+//
+// Headroom: a quantised LLR is at most 2^24 in magnitude, so a branch
+// metric is at most 2^25 and, once the six-step start-up has made every
+// state reachable, all metrics of step t lie within ±t·2^25 and every ACS
+// difference within ±(t+1)·2^26. That cannot overflow int64 below 2^36
+// steps; the largest 802.11n PSDU (65,535 octets) is 524,302 steps, so the
+// metrics are never renormalised.
+//
 // The add-compare-select step runs over 32 radix-2 butterflies rather than
 // 128 state×input edges. Both generators (133, 171 octal) include the top
 // and bottom taps of the shift register, so flipping either the input bit
 // or the oldest state bit complements both coded bits: the four edges of
-// butterfly j (states 2j, 2j+1 → j, j+32) carry only two distinct output
-// pairs, o and o^3, and share one ±la/±lb addend pattern. The per-edge
-// arithmetic — (m ± la) ± lb with strictly-greater updates in ascending
-// predecessor order — is identical to the straightforward 128-edge sweep,
-// so decoded outputs are bit-identical; only the schedule changed.
+// butterfly j (states 2j, 2j+1 → j, j+32) add ±b for one branch metric b
+// drawn from ±p, ±q, where p = la+lb and q = la−lb (see acsStep). The
+// selection is strictly-greater in ascending predecessor order, so the
+// decoded bits equal those of the straightforward 128-edge sweep run over
+// the quantised LLRs.
 //
 //mimonet:hot
 func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]byte, error) {
@@ -116,58 +132,24 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 		return nil, nil
 	}
 	v.ensureTraceback(steps)
+	scale := llrScale(llr)
 
-	const unreachable = math.MaxFloat64 / 4
-	for s := range v.metric {
-		v.metric[s] = -unreachable
+	const unreachable = math.MinInt64 / 4
+	cur, nxt := &v.metrics[0], &v.metrics[1]
+	for s := range cur {
+		cur[s] = unreachable
 	}
-	v.metric[0] = 0 // encoder starts in state 0
-
-	// Fixed-size array views let the compiler drop bounds checks in the ACS
-	// loop; both slices are always exactly numStates long.
-	cur := (*[numStates]float64)(v.metric)
-	nxt := (*[numStates]float64)(v.nextMetric)
+	cur[0] = 0 // encoder starts in state 0
 	for t := 0; t < steps; t++ {
-		la, lb := llr[2*t], llr[2*t+1]
-		// Correlation addends indexed by expected coded bit: +llr for an
-		// expected 0, −llr for an expected 1. Erasures (llr 0) contribute
-		// nothing either way.
-		selA := [2]float64{la, -la}
-		selB := [2]float64{lb, -lb}
-		var surv uint64
-		for j := 0; j < numStates/2; j++ {
-			m0, m1 := cur[2*j], cur[2*j+1]
-			o := butterflyOut[j]
-			oa, ob := o&1, o>>1
-			aa, na := selA[oa], selA[oa^1]
-			ab, nb := selB[ob], selB[ob^1]
-			// Edge outputs: 2j→j carries o, 2j+1→j and 2j→j+32 carry o^3,
-			// 2j+1→j+32 carries o again.
-			a := (m0 + aa) + ab
-			c := (m1 + na) + nb
-			d := (m0 + na) + nb
-			e := (m1 + aa) + ab
-			// Branchless compare-select: the survivor branches are decided
-			// by channel noise, so a conditional here mispredicts roughly
-			// half the time. max picks the winning metric without new
-			// arithmetic, and the survivor bit is the sign of the exact
-			// difference — 1 iff the odd predecessor strictly wins, the same
-			// strictly-greater tie-break as the branching form (metrics are
-			// sums that can never be −0, so a−c = +0 on ties).
-			nxt[j] = max(a, c)
-			nxt[j+numStates/2] = max(d, e)
-			surv |= (math.Float64bits(a-c)>>63)<<j |
-				(math.Float64bits(d-e)>>63)<<(j+numStates/2)
-		}
-		v.survivors[t] = surv
+		la, lb := quantizeLLR(llr[2*t], scale), quantizeLLR(llr[2*t+1], scale)
+		v.survivors[t] = acsStep(cur, nxt, la+lb, la-lb)
 		cur, nxt = nxt, cur
 	}
-	v.metric, v.nextMetric = cur[:], nxt[:]
 
 	state := 0
 	if !terminated {
-		best := math.Inf(-1)
-		for s, m := range v.metric {
+		best := int64(math.MinInt64)
+		for s, m := range cur {
 			if m > best {
 				best, state = m, s
 			}
@@ -183,6 +165,44 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 		state = ((state << 1) & (numStates - 1)) | int((v.survivors[t]>>state)&1)
 	}
 	return bits, nil
+}
+
+// llrFullScale is the quantised magnitude of ±Inf and the ceiling for the
+// largest finite LLR.
+const (
+	llrBits      = 24
+	llrFullScale = 1 << llrBits
+)
+
+// llrScale returns the power of two that maps the largest finite |llr| into
+// (llrFullScale/2, llrFullScale], capped at 2^1023.
+func llrScale(llr []float64) float64 {
+	var peak float64
+	for _, x := range llr {
+		if a := math.Abs(x); a > peak && a <= math.MaxFloat64 {
+			peak = a
+		}
+	}
+	frac, exp := math.Frexp(peak) // peak = frac·2^exp, frac ∈ [½, 1)
+	if frac == 0.5 {
+		exp-- // an exact power of two maps to full scale itself
+	}
+	return math.Ldexp(1, min(llrBits-exp, 1023))
+}
+
+// quantizeLLR scales x to an integer LLR: NaN is an erasure and values at
+// or past full scale (only ±Inf, given llrScale) clamp to it.
+func quantizeLLR(x, scale float64) int64 {
+	x *= scale
+	switch {
+	case x != x:
+		return 0
+	case x >= llrFullScale:
+		return llrFullScale
+	case x <= -llrFullScale:
+		return -llrFullScale
+	}
+	return int64(math.RoundToEven(x))
 }
 
 // DecodeHard decodes hard-decision coded bits (0/1, one per byte) by mapping
