@@ -1,8 +1,8 @@
 // Package dsp provides the signal-processing primitives used by the MIMONet
-// transceiver: radix-2 FFTs, correlation, FIR filtering, window functions and
-// complex vector utilities.
+// transceiver: radix-2 FFTs, correlation, window functions and complex
+// vector utilities.
 //
-// All routines operate on []complex128. Hot-path types (FFT plans, filters)
+// All routines operate on []complex128. Hot-path types (FFT plans)
 // preallocate their working state so steady-state operation is allocation
 // free, in the style of gopacket's reusable decoders.
 package dsp

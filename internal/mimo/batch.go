@@ -14,13 +14,13 @@ type DetectScratch struct {
 	s    []complex128 // linear filter output / SIC cancellation residual
 	hard []byte       // SIC per-stage hard-decision bits
 	best []int        // ML hypothesis decomposition
-	y32  []complex64  // narrow kernel: single-precision received vector
 }
 
-// BatchDetector is implemented by every detector family. DetectTo is the
-// scratch-explicit form of Detect used by the sharded batch pipeline: it
-// writes the N_SS·N_BPSCS LLRs of subcarrier k stream-major into
-// out[iss·N_BPSCS+b], producing values bit-identical to Detect's appends.
+// BatchDetector is implemented by every detector family, and every
+// constructor returns one. DetectTo is the scratch-explicit form of Detect
+// used by the sharded batch pipeline: it writes the N_SS·N_BPSCS LLRs of
+// subcarrier k stream-major into out[iss·N_BPSCS+b], producing values
+// bit-identical to Detect's appends.
 type BatchDetector interface {
 	Detector
 	// NewScratch returns scratch sized for this detector's configuration.
@@ -31,7 +31,7 @@ type BatchDetector interface {
 }
 
 func (d *linearDetector) NewScratch() *DetectScratch {
-	return &DetectScratch{s: make([]complex128, d.nss), y32: make([]complex64, 8)}
+	return &DetectScratch{s: make([]complex128, d.nss)}
 }
 
 func (d *linearDetector) BitsPerStream() int { return d.demapper.BitsPerSymbol() }
@@ -44,9 +44,6 @@ func (d *linearDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []c
 	nb := d.demapper.BitsPerSymbol()
 	if len(out) < d.nss*nb {
 		return fmt.Errorf("mimo: DetectTo out length %d, want %d", len(out), d.nss*nb)
-	}
-	if d.narrow {
-		return d.detectToNarrow(sc, out, k, y)
 	}
 	d.w[k].MulVecInto(sc.s[:d.nss], y)
 	for i := 0; i < d.nss; i++ {

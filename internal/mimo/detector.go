@@ -45,24 +45,17 @@ type linearDetector struct {
 	sbuf []complex128
 	// Prepare scratch, reused across calls.
 	hh, gram, gi, work, bias *cmatrix.Matrix
-	// Opt-in single-precision DetectTo kernel (see narrow.go). w32 holds the
-	// unbiased weights flattened [k][i][j] row-major; csi32 is [k][i].
-	narrow     bool
-	w32        []complex64
-	csi32      []float32
-	noiseVar32 float32
-	nrx32      int
 }
 
 // NewZF returns a zero-forcing detector (W = (HᴴH)⁻¹Hᴴ) for nss streams of
 // the given constellation.
-func NewZF(scheme modem.Scheme, nss int) Detector {
+func NewZF(scheme modem.Scheme, nss int) BatchDetector {
 	return &linearDetector{name: "zf", nss: nss, demapper: modem.NewDemapper(scheme), sbuf: make([]complex128, nss)}
 }
 
 // NewMMSE returns an MMSE detector (W = (HᴴH + σ²I)⁻¹Hᴴ with per-stream
 // bias removal) for nss streams of the given constellation.
-func NewMMSE(scheme modem.Scheme, nss int) Detector {
+func NewMMSE(scheme modem.Scheme, nss int) BatchDetector {
 	return &linearDetector{name: "mmse", mmse: true, nss: nss, demapper: modem.NewDemapper(scheme), sbuf: make([]complex128, nss)}
 }
 
@@ -158,9 +151,6 @@ func (d *linearDetector) Prepare(h []*cmatrix.Matrix, noiseVar float64) error {
 		d.w[k] = w
 		d.csi[k] = csi
 	}
-	if d.narrow {
-		d.buildNarrow()
-	}
 	return nil
 }
 
@@ -215,7 +205,7 @@ type mlDetector struct {
 
 // NewML returns a maximum-likelihood joint detector, or an error when the
 // joint constellation is too large to search.
-func NewML(scheme modem.Scheme, nss int) (Detector, error) {
+func NewML(scheme modem.Scheme, nss int) (BatchDetector, error) {
 	nbpsc := scheme.BitsPerSymbol()
 	total := nss * nbpsc
 	if total > 16 {
@@ -352,7 +342,7 @@ func (d *mlDetector) Equalize(dst []complex128, k int, y []complex128) error {
 }
 
 // NewDetector constructs a detector by name: "zf", "mmse", "sic" or "ml".
-func NewDetector(name string, scheme modem.Scheme, nss int) (Detector, error) {
+func NewDetector(name string, scheme modem.Scheme, nss int) (BatchDetector, error) {
 	switch name {
 	case "zf":
 		return NewZF(scheme, nss), nil

@@ -383,6 +383,14 @@ func randChannels(r *rand.Rand, nk, nrx, nss int) []*cmatrix.Matrix {
 	return h
 }
 
+// Every detector family implements the batch kernel: the receiver's batched
+// data phase has no per-symbol fallback.
+var (
+	_ BatchDetector = (*linearDetector)(nil)
+	_ BatchDetector = (*sicDetector)(nil)
+	_ BatchDetector = (*mlDetector)(nil)
+)
+
 // TestDetectToMatchesDetect pins the batch-path contract: for every detector
 // family, DetectTo with per-worker scratch writes exactly the LLR values
 // Detect appends, in stream-major order.
@@ -395,17 +403,13 @@ func TestDetectToMatchesDetect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bd, ok := det.(BatchDetector)
-				if !ok {
-					t.Fatalf("%s detector does not implement BatchDetector", name)
-				}
 				nrx := nss + 1
 				h := randChannels(r, 8, nrx, nss)
 				if err := det.Prepare(h, 0.05); err != nil {
 					t.Fatal(err)
 				}
-				nb := bd.BitsPerStream()
-				sc := bd.NewScratch()
+				nb := det.BitsPerStream()
+				sc := det.NewScratch()
 				out := make([]float64, nss*nb)
 				llr := make([][]float64, nss)
 				y := make([]complex128, nrx)
@@ -419,7 +423,7 @@ func TestDetectToMatchesDetect(t *testing.T) {
 					if _, err := det.Detect(llr, k, y); err != nil {
 						t.Fatal(err)
 					}
-					if err := bd.DetectTo(sc, out, k, y); err != nil {
+					if err := det.DetectTo(sc, out, k, y); err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; i < nss; i++ {
@@ -429,61 +433,6 @@ func TestDetectToMatchesDetect(t *testing.T) {
 									name, scheme, nss, k, i, b, got, want)
 							}
 						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestNarrowKernelClose checks the float32 linear kernel stays within
-// single-precision rounding of the double-precision LLRs.
-func TestNarrowKernelClose(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for _, name := range []string{"zf", "mmse"} {
-		for _, scheme := range []modem.Scheme{modem.BPSK, modem.QAM64} {
-			det, err := NewDetector(name, scheme, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bd := det.(BatchDetector)
-			nw, ok := det.(Narrowable)
-			if !ok {
-				t.Fatalf("%s detector is not Narrowable", name)
-			}
-			h := randChannels(r, 8, 3, 2)
-			if err := det.Prepare(h, 0.05); err != nil {
-				t.Fatal(err)
-			}
-			nb := bd.BitsPerStream()
-			wide := make([]float64, 2*nb)
-			narrow := make([]float64, 2*nb)
-			sc := bd.NewScratch()
-			y := make([]complex128, 3)
-			for k := range h {
-				for i := range y {
-					y[i] = complex(r.NormFloat64(), r.NormFloat64())
-				}
-				if err := bd.DetectTo(sc, wide, k, y); err != nil {
-					t.Fatal(err)
-				}
-				if err := nw.SetNarrow(true); err != nil {
-					t.Fatal(err)
-				}
-				if err := bd.DetectTo(sc, narrow, k, y); err != nil {
-					t.Fatal(err)
-				}
-				if err := nw.SetNarrow(false); err != nil {
-					t.Fatal(err)
-				}
-				for i := range wide {
-					scale := math.Abs(wide[i])
-					if scale < 1 {
-						scale = 1
-					}
-					if diff := math.Abs(wide[i] - narrow[i]); diff/scale > 1e-3 {
-						t.Fatalf("%s/%v k=%d llr[%d]: narrow %v vs wide %v (rel %v)",
-							name, scheme, k, i, narrow[i], wide[i], diff/scale)
 					}
 				}
 			}

@@ -38,7 +38,7 @@ type sicPlan struct {
 
 // NewSIC returns an MMSE-ordered successive-interference-cancellation
 // detector for nss streams of the given constellation.
-func NewSIC(scheme modem.Scheme, nss int) Detector {
+func NewSIC(scheme modem.Scheme, nss int) BatchDetector {
 	return &sicDetector{
 		nss:      nss,
 		mapper:   modem.NewMapper(scheme),

@@ -361,27 +361,47 @@ func EVMBins(acc []metrics.EVM, subcarriers []int) []SubcarrierEVM {
 
 // SoftStats summarizes decoder-input LLRs.
 func SoftStats(llrs []float64) SoftBitStats {
-	st := SoftBitStats{Count: len(llrs)}
-	if len(llrs) == 0 {
-		return st
-	}
-	st.MinAbs = math.Inf(1)
-	var sum float64
-	var weak int
+	var acc SoftAccumulator
 	for _, l := range llrs {
-		a := math.Abs(l)
-		sum += a
-		if a < st.MinAbs {
-			st.MinAbs = a
-		}
-		if a > st.MaxAbs {
-			st.MaxAbs = a
-		}
-		if a < 1 {
-			weak++
-		}
+		acc.Add(l)
 	}
-	st.MeanAbs = sum / float64(len(llrs))
-	st.WeakFrac = float64(weak) / float64(len(llrs))
+	return acc.Stats()
+}
+
+// SoftAccumulator folds decoder-input LLRs into SoftBitStats one at a time,
+// in the order given, so a caller can summarize a stream it never
+// materializes. The zero value is ready to use.
+type SoftAccumulator struct {
+	st   SoftBitStats
+	sum  float64
+	weak int
+}
+
+// Add folds one LLR into the summary.
+func (a *SoftAccumulator) Add(llr float64) {
+	if a.st.Count == 0 {
+		a.st.MinAbs = math.Inf(1)
+	}
+	a.st.Count++
+	v := math.Abs(llr)
+	a.sum += v
+	if v < a.st.MinAbs {
+		a.st.MinAbs = v
+	}
+	if v > a.st.MaxAbs {
+		a.st.MaxAbs = v
+	}
+	if v < 1 {
+		a.weak++
+	}
+}
+
+// Stats returns the summary of the LLRs added so far.
+func (a *SoftAccumulator) Stats() SoftBitStats {
+	st := a.st
+	if st.Count > 0 {
+		st.MeanAbs = a.sum / float64(st.Count)
+		st.WeakFrac = float64(a.weak) / float64(st.Count)
+	}
 	return st
 }

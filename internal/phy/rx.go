@@ -10,7 +10,6 @@ import (
 	"repro/internal/cmatrix"
 	"repro/internal/est"
 	"repro/internal/fec"
-	"repro/internal/metrics"
 	"repro/internal/mimo"
 	"repro/internal/modem"
 	"repro/internal/obs"
@@ -70,17 +69,6 @@ type RxConfig struct {
 	// output is bit-identical at every worker count (the batch passes use
 	// fixed-size symbol shards writing disjoint regions).
 	Workers int
-	// ScalarChain forces the legacy symbol-at-a-time data phase instead of
-	// the block-batched one, as an ablation/debug escape hatch and for the
-	// batch-equivalence tests. The receiver also falls back to the scalar
-	// chain automatically when a feature requires it (decision-directed
-	// channel tracking, flight-evidence capture).
-	ScalarChain bool
-	// NarrowDetect opts in to the single-precision linear detection kernel
-	// on the batched path (zf/mmse only): weights and demap run in
-	// complex64/float32, LLRs widen only at the decoder boundary. The
-	// scalar chain and every Prepare stay in double precision.
-	NarrowDetect bool
 }
 
 // RxResult reports one decoded packet.
@@ -120,9 +108,12 @@ type Receiver struct {
 	// decoding stays off the allocator's hot path.
 	depBuf []float64
 	decBuf []byte
-	// Cached MIMO detector, reused while consecutive packets announce the
-	// same (scheme, streams); Prepare fully resets detector state per packet.
-	det       mimo.Detector
+	// Cached MIMO detector and the matching constellation mapper (for the
+	// decision-directed slicing of channel tracking and evidence EVM),
+	// reused while consecutive packets announce the same (scheme, streams);
+	// Prepare fully resets detector state per packet.
+	det       mimo.BatchDetector
+	mapper    *modem.Mapper
 	detScheme modem.Scheme
 	detNSS    int
 	// obs, when set, receives per-packet telemetry (SNR/BER/PER series and
@@ -131,16 +122,11 @@ type Receiver struct {
 	// packetID is the TX-assigned correlation key of the burst about to be
 	// decoded (0 = unknown), stamped onto traces and flight evidence.
 	packetID uint64
-	// Batched data-phase state (rxbatch.go): the size-classed scratch pool,
-	// the persistent worker set, and the per-MCS fused scatter tables.
+	// Data-phase state (rxbatch.go): the size-classed scratch pool, the
+	// persistent worker set, and the per-MCS fused scatter tables.
 	pool         bufPool
 	workers      []*rxWorker
-	scatterCache map[int][][]int32
-	// Per-MCS interleaver/stream-parser caches, shared by both data phases
-	// (construction builds permutation tables, so it is per-packet cost
-	// worth hoisting).
-	ilvCache    map[int][]*fec.Interleaver
-	parserCache map[int]*mimo.StreamParser
+	scatterCache map[int]*scatter
 	// Packet-lifetime slice headers and pilot reference buffers, reused.
 	tones      [][]complex128
 	pilots     [][]complex128
@@ -150,7 +136,7 @@ type Receiver struct {
 }
 
 // dataCtx carries the data-field geometry and per-packet processing state
-// from receive() into the scalar or batched data phase.
+// from acquire() into the data phase and the decode.
 type dataCtx struct {
 	rx         [][]complex128
 	mcs        MCS
@@ -160,14 +146,14 @@ type dataCtx struct {
 	dataSymLen int
 	dataCP     int
 	dataBO     int
-	detector   mimo.Detector
-	batchDet   mimo.BatchDetector
+	detector   mimo.BatchDetector
 	tracker    *chanest.PhaseTracker
-	htEst      *chanest.HTEstimate
-	noiseVar   float64
-	ilv        []*fec.Interleaver
-	parser     *mimo.StreamParser
-	result     *RxResult
+	// dataH is the HT channel estimate at the data tones, the matrices the
+	// detector was prepared with; channel tracking updates them in place.
+	dataH       []*cmatrix.Matrix
+	noiseVar    float64
+	usefulSteps int
+	result      *RxResult
 }
 
 // SetObs attaches the receiver's telemetry surface. Nil detaches it.
@@ -222,9 +208,6 @@ func NewReceiver(cfg RxConfig) (*Receiver, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("phy: worker count %d is negative", cfg.Workers)
 	}
-	if cfg.NarrowDetect && cfg.Detector != "zf" && cfg.Detector != "mmse" {
-		return nil, fmt.Errorf("phy: narrow detection kernel requires a linear detector, not %q", cfg.Detector)
-	}
 	return &Receiver{
 		cfg:    cfg,
 		sig:    newSigCodec(),
@@ -261,16 +244,33 @@ func (r *Receiver) Receive(rx [][]complex128) (*RxResult, error) {
 }
 
 // receive is the synchronization and decode chain behind Receive, with
-// stage span markers threaded through it.
+// stage span markers threaded through it: acquisition (steps 1–8), the
+// block-batched data phase, then Viterbi decode and descramble.
 func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) {
+	result, ctx, err := r.acquire(rx, tr)
+	if err != nil {
+		return result, err
+	}
+	dep, err := r.dataBatch(ctx, tr)
+	if err != nil {
+		return result, err
+	}
+	return result, r.decode(ctx, dep, tr)
+}
+
+// acquire runs steps 1–8 of the chain — packet detection, CFO correction,
+// fine timing, legacy and HT channel estimation, L-SIG/HT-SIG decode and
+// detector preparation — and returns the data-phase context. The result is
+// returned alongside any error once the SIG fields began filling it in.
+func (r *Receiver) acquire(rx [][]complex128, tr *obs.Trace) (*RxResult, *dataCtx, error) {
 	if len(rx) != r.cfg.NumAntennas {
-		return nil, fmt.Errorf("phy: %d streams for %d antennas", len(rx), r.cfg.NumAntennas)
+		return nil, nil, fmt.Errorf("phy: %d streams for %d antennas", len(rx), r.cfg.NumAntennas)
 	}
 	// --- 1. Packet detection on the STF periodicity ---------------------
 	tr.Begin(obs.StageSync)
 	det, err := r.detect(rx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Evidence capture opens here, before CFO correction rewrites rx in
 	// place: the dump keeps the sync-point IQ as the antenna actually saw it.
@@ -286,13 +286,13 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	if r.cfg.CPMLSync {
 		coarse, err = r.cpmlCFO(rx, det.Index)
 		if err != nil {
-			return nil, fmt.Errorf("phy: CP-ML sync: %w", err)
+			return nil, nil, fmt.Errorf("phy: CP-ML sync: %w", err)
 		}
 	} else {
 		region := subRange(rx, stfStart, stfEnd)
 		coarse, err = synchro.CoarseCFO(region)
 		if err != nil {
-			return nil, fmt.Errorf("phy: coarse CFO: %w", err)
+			return nil, nil, fmt.Errorf("phy: coarse CFO: %w", err)
 		}
 	}
 	synchro.CorrectCFO(rx, coarse)
@@ -304,7 +304,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	to := det.Index + 280
 	ltfStart, err := synchro.FineTiming(rx, from, to)
 	if err != nil {
-		return nil, fmt.Errorf("phy: fine timing: %w", err)
+		return nil, nil, fmt.Errorf("phy: fine timing: %w", err)
 	}
 	stfStartEst := ltfStart - 192
 
@@ -315,7 +315,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		ltfRegion := subRange(rx, ltfStart, ltfStart+128)
 		fine, err = synchro.FineCFO(ltfRegion)
 		if err != nil {
-			return nil, fmt.Errorf("phy: fine CFO: %w", err)
+			return nil, nil, fmt.Errorf("phy: fine CFO: %w", err)
 		}
 		synchro.CorrectCFO(rx, fine)
 	}
@@ -328,17 +328,17 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	for a := range rx {
 		s1, err := r.bins(r.legDem, rx[a], ltfStart-bo)
 		if err != nil {
-			return nil, fmt.Errorf("phy: L-LTF window: %w", err)
+			return nil, nil, fmt.Errorf("phy: L-LTF window: %w", err)
 		}
 		s2, err := r.bins(r.legDem, rx[a], ltfStart+64-bo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ltfSpectra[a] = [][]complex128{s1, s2}
 	}
 	leg, err := chanest.EstimateLegacy(ltfSpectra)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	result := &RxResult{
 		SNRdB:    est.DB(leg.SNR()),
@@ -354,42 +354,42 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	base := ltfStart - (OffLLTF + 32)
 	lsigSym, lsigCSI, err := r.equalizeLegacySymbols(rx, leg, base+OffLSIG, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	lsigBits, err := r.sig.decode(lsigSym, lsigCSI, leg.NoiseVar, false)
 	if err != nil {
-		return nil, fmt.Errorf("phy: L-SIG decode: %w", err)
+		return nil, nil, fmt.Errorf("phy: L-SIG decode: %w", err)
 	}
 	lsig, err := preamble.ParseLSIG(lsigBits)
 	if err != nil {
-		return result, fmt.Errorf("phy: %w", err)
+		return result, nil, fmt.Errorf("phy: %w", err)
 	}
 	result.LSIG = lsig
 	if lsig.Rate != preamble.Rate6Mbps {
-		return result, fmt.Errorf("%w: L-SIG rate %#04b is not the HT-mixed 6 Mbit/s code", ErrBadSIG, lsig.Rate)
+		return result, nil, fmt.Errorf("%w: L-SIG rate %#04b is not the HT-mixed 6 Mbit/s code", ErrBadSIG, lsig.Rate)
 	}
 
 	// --- 6. HT-SIG --------------------------------------------------------
 	htsigSym, htsigCSI, err := r.equalizeLegacySymbols(rx, leg, base+OffHTSIG, 2)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	htsigBits, err := r.sig.decode(htsigSym, htsigCSI, leg.NoiseVar, true)
 	if err != nil {
-		return nil, fmt.Errorf("phy: HT-SIG decode: %w", err)
+		return nil, nil, fmt.Errorf("phy: HT-SIG decode: %w", err)
 	}
 	htsig, err := preamble.ParseHTSIG(htsigBits)
 	if err != nil {
-		return result, fmt.Errorf("phy: %w", err)
+		return result, nil, fmt.Errorf("phy: %w", err)
 	}
 	result.HTSIG = htsig
 	mcs, err := Lookup(htsig.MCS)
 	if err != nil {
-		return result, fmt.Errorf("phy: HT-SIG announced unsupported %w", err)
+		return result, nil, fmt.Errorf("phy: HT-SIG announced unsupported %w", err)
 	}
 	result.MCS = mcs
 	if mcs.NSS > r.cfg.NumAntennas && r.cfg.Detector != "ml" {
-		return result, fmt.Errorf("phy: %d antennas cannot linearly separate %d streams", r.cfg.NumAntennas, mcs.NSS)
+		return result, nil, fmt.Errorf("phy: %d antennas cannot linearly separate %d streams", r.cfg.NumAntennas, mcs.NSS)
 	}
 
 	// Validate the announced payload geometry against the captured streams
@@ -397,7 +397,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	// rejected with a typed error, not discovered mid-symbol.
 	nltf := preamble.NumHTLTF(mcs.NSS)
 	if htsig.Length == 0 {
-		return result, fmt.Errorf("%w: HT-SIG announces an empty PSDU", ErrSIGBounds)
+		return result, nil, fmt.Errorf("%w: HT-SIG announces an empty PSDU", ErrSIGBounds)
 	}
 	nSym := mcs.NumSymbols(htsig.Length)
 	dataCP := ofdm.CPLen
@@ -411,7 +411,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	// The last FFT window ends dataBO samples short of the nominal PPDU end.
 	need := base + OffHTLTF + nltf*preamble.HTLTFLen + nSym*(ofdm.FFTSize+dataCP) - dataBO
 	if need > len(rx[0]) {
-		return result, fmt.Errorf("%w: HT-SIG length %d needs %d samples, stream has %d",
+		return result, nil, fmt.Errorf("%w: HT-SIG length %d needs %d samples, stream has %d",
 			ErrSIGBounds, htsig.Length, need, len(rx[0]))
 	}
 
@@ -423,28 +423,29 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		for n := 0; n < nltf; n++ {
 			spec, err := r.bins(r.htDem, rx[a], base+OffHTLTF+n*preamble.HTLTFLen+ofdm.CPLen-bo)
 			if err != nil {
-				return result, fmt.Errorf("phy: HT-LTF window: %w", err)
+				return result, nil, fmt.Errorf("phy: HT-LTF window: %w", err)
 			}
 			htSpectra[a][n] = spec
 		}
 	}
 	htEst, err := chanest.EstimateHT(htSpectra, mcs.NSS)
 	if err != nil {
-		return result, err
+		return result, nil, err
 	}
 	if (r.cfg.SmoothingWindow > 1) && htsig.Smoothing {
 		if err := htEst.Smooth(r.cfg.SmoothingWindow); err != nil {
-			return result, err
+			return result, nil, err
 		}
 	}
+	dataH := htEst.DataMatrices()
 	if snr := leg.SNR(); snr > 0 {
 		// Channel-state metrics for link adaptation; failure is not fatal.
-		if rep, serr := sounding.Analyze(htEst.DataMatrices(), snr); serr == nil {
+		if rep, serr := sounding.Analyze(dataH, snr); serr == nil {
 			result.Sounding = rep
 		}
 	}
 	if ev := r.obs.evidence(); ev != nil {
-		ev.ChanEst = flight.CaptureChanEst(htEst.DataMatrices(), htDataSubcarriers)
+		ev.ChanEst = flight.CaptureChanEst(dataH, htDataSubcarriers)
 	}
 
 	// --- 8. MIMO detection over the data symbols ------------------------
@@ -452,132 +453,68 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	if r.det == nil || r.detScheme != mcs.Scheme || r.detNSS != mcs.NSS {
 		d, derr := mimo.NewDetector(r.cfg.Detector, mcs.Scheme, mcs.NSS)
 		if derr != nil {
-			return result, derr
+			return result, nil, derr
 		}
-		if r.cfg.NarrowDetect {
-			nw, ok := d.(mimo.Narrowable)
-			if !ok {
-				return result, fmt.Errorf("phy: %s detector has no narrow kernel", r.cfg.Detector)
-			}
-			if nerr := nw.SetNarrow(true); nerr != nil {
-				return result, nerr
-			}
-		}
-		r.det, r.detScheme, r.detNSS = d, mcs.Scheme, mcs.NSS
+		r.det, r.mapper, r.detScheme, r.detNSS = d, modem.NewMapper(mcs.Scheme), mcs.Scheme, mcs.NSS
 	}
-	detector := r.det
-	if err := detector.Prepare(htEst.DataMatrices(), leg.NoiseVar); err != nil {
-		return result, err
+	if err := r.det.Prepare(dataH, leg.NoiseVar); err != nil {
+		return result, nil, err
 	}
 	var tracker *chanest.PhaseTracker
 	if !r.cfg.DisablePhaseTracking {
 		tracker = chanest.NewPhaseTracker(htEst)
 	}
 
-	ilv, parser, err := r.streamCodecs(mcs)
-	if err != nil {
-		return result, err
-	}
-	ctx := &dataCtx{
-		rx:         rx,
-		mcs:        mcs,
-		htsig:      htsig,
-		nSym:       nSym,
-		dataStart:  base + OffHTLTF + nltf*preamble.HTLTFLen,
-		dataSymLen: ofdm.FFTSize + dataCP,
-		dataCP:     dataCP,
-		dataBO:     dataBO,
-		detector:   detector,
-		tracker:    tracker,
-		htEst:      htEst,
-		noiseVar:   leg.NoiseVar,
-		ilv:        ilv,
-		parser:     parser,
-		result:     result,
-	}
 	// Pre-size the Viterbi decoder from the SIG-declared packet length so
 	// the decode below starts with its traceback storage in place.
 	usefulSteps := 16 + 8*htsig.Length + 6
-	dataBits := nSym * mcs.NDBPS()
-	if usefulSteps > dataBits {
-		return result, fmt.Errorf("phy: HT-SIG length %d exceeds the %d-symbol data field", htsig.Length, nSym)
+	if usefulSteps > nSym*mcs.NDBPS() {
+		return result, nil, fmt.Errorf("phy: HT-SIG length %d exceeds the %d-symbol data field", htsig.Length, nSym)
 	}
 	r.vit.Reserve(usefulSteps)
+	return result, &dataCtx{
+		rx:          rx,
+		mcs:         mcs,
+		htsig:       htsig,
+		nSym:        nSym,
+		dataStart:   base + OffHTLTF + nltf*preamble.HTLTFLen,
+		dataSymLen:  ofdm.FFTSize + dataCP,
+		dataCP:      dataCP,
+		dataBO:      dataBO,
+		detector:    r.det,
+		tracker:     tracker,
+		dataH:       dataH,
+		noiseVar:    leg.NoiseVar,
+		usefulSteps: usefulSteps,
+		result:      result,
+	}, nil
+}
 
-	// The block-batched data phase is the default; the symbol-at-a-time
-	// chain remains for features with inherently sequential symbol coupling
-	// (decision-directed channel tracking), for flight-evidence capture
-	// (per-symbol EVM accumulation), and as an explicit ablation switch.
-	// Both produce bit-identical depunctured LLR streams.
-	bd, canBatch := detector.(mimo.BatchDetector)
-	useScalar := r.cfg.ScalarChain || r.cfg.TrackChannel || r.obs.evidence() != nil || !canBatch
-	var dep, merged []float64
-	if useScalar {
-		dep, merged, err = r.dataScalar(ctx, tr)
-	} else {
-		ctx.batchDet = bd
-		dep, err = r.dataBatch(ctx, tr)
-	}
-	if err != nil {
-		return result, err
-	}
-
-	// --- 9. Viterbi decode and descramble -------------------------------
+// decode is step 9: Viterbi-decode the depunctured LLR stream, fold the
+// pre-FEC comparison into the telemetry, descramble and extract the PSDU
+// into the context's result.
+func (r *Receiver) decode(ctx *dataCtx, dep []float64, tr *obs.Trace) error {
 	// The trellis is in the zero state right after the 6 tail bits; the pad
 	// bits that fill the last symbol keep driving it afterwards, so decode
 	// only SERVICE + PSDU + tail steps and anchor traceback at the tail.
 	tr.Begin(obs.StageViterbi)
-	decoded, err := r.vit.DecodeSoftInto(r.decBuf, dep[:2*usefulSteps], true)
+	decoded, err := r.vit.DecodeSoftInto(r.decBuf, dep[:2*ctx.usefulSteps], true)
 	if err != nil {
-		return result, err
+		return err
 	}
 	r.decBuf = decoded
 	if r.obs != nil {
-		var errs, bits int
-		if merged != nil {
-			errs, bits = preFECCompare(decoded, merged, mcs.Rate)
-		} else {
-			errs, bits = preFECCompareMother(decoded, dep)
-		}
-		r.obs.prefec(errs, bits)
+		r.obs.prefec(preFECCompareMother(decoded, dep))
 	}
 	// Descramble: recover the seed from the SERVICE field (the first 7
 	// scrambled bits reveal the initial state).
 	descrambled := descramble(decoded)
-	psduBits := descrambled[16 : 16+8*htsig.Length]
-	psdu, err := bitutil.BitsToBytes(psduBits)
+	psdu, err := bitutil.BitsToBytes(descrambled[16 : 16+8*ctx.htsig.Length])
 	if err != nil {
-		return result, err
+		return err
 	}
-	result.PSDU = psdu
-	return result, nil
-}
-
-// accumulateEVM folds one symbol's decision-directed error vectors into the
-// per-subcarrier accumulators: each stream's LLR signs slice back to bits,
-// map to the constellation point x̂, and every antenna's received tone is
-// compared against the channel's prediction H·x̂ — the per-subcarrier EVM
-// that localises MIMO impairments to individual tones.
-func accumulateEVM(acc []metrics.EVM, perSymbol [][]float64, dataTones [][]complex128, h []*cmatrix.Matrix, mapper *modem.Mapper, bits []byte, xhat []complex128, nss, nbpsc int) {
-	for k := range acc {
-		for iss := 0; iss < nss; iss++ {
-			for b := 0; b < nbpsc; b++ {
-				bits[b] = 0
-				if perSymbol[iss][k*nbpsc+b] < 0 {
-					bits[b] = 1
-				}
-			}
-			xhat[iss] = mapper.MapOne(bits)
-		}
-		hk := h[k]
-		for a := range dataTones {
-			var est complex128
-			for s := 0; s < nss; s++ {
-				est += hk.At(a, s) * xhat[s]
-			}
-			acc[k].Add(dataTones[a][k], est)
-		}
-	}
+	ctx.result.PSDU = psdu
+	return nil
 }
 
 // descramble inverts the self-synchronizing scrambler given that the first

@@ -6,9 +6,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chanest"
+	"repro/internal/metrics"
 	"repro/internal/mimo"
 	"repro/internal/montecarlo"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/ofdm"
 )
 
@@ -111,15 +113,18 @@ func (r *Receiver) ensureWorkers(n, nRx, llrLen int, det mimo.BatchDetector) {
 	}
 }
 
-// dataBatch is the block-batched data phase: pass A FFTs every
+// dataBatch is the receiver's data phase: pass A FFTs every
 // (antenna × symbol) window into one packet-wide tone block, pass B runs
 // the (inherently sequential, but cheap) pilot CPE correction symbol by
-// symbol, and pass C shards MIMO detection across symbols, scattering each
+// symbol, and pass C runs MIMO detection per subcarrier, scattering each
 // LLR straight into its depunctured mother-code slot for the Viterbi
 // decoder. Passes A and C run on montecarlo.Run with fixed-size symbol
-// shards writing disjoint output regions, so the result is bit-identical to
-// the scalar chain at any worker count. The returned dep slice is owned by
-// r.depBuf.
+// shards writing disjoint output regions, so the result is bit-identical at
+// any worker count. Decision-directed channel tracking couples each symbol's
+// detection to the previous symbol's decisions, so under TrackChannel pass C
+// runs serially in symbol order. When flight evidence is being captured the
+// phase also fills its per-tone EVM and soft-bit statistics. The returned
+// dep slice is owned by r.depBuf.
 func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 	mcs := ctx.mcs
 	nRx := len(ctx.rx)
@@ -128,9 +133,9 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 	nss, nbpsc := mcs.NSS, mcs.NBPSCS()
 	ndbps := mcs.NDBPS()
 	nSym := ctx.nSym
-	detector := ctx.batchDet
+	detector := ctx.detector
 
-	scat, err := r.scatterTable(mcs, ctx.ilv, ctx.parser)
+	scat, err := r.scatterTable(mcs)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +226,7 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 		}
 	}
 
-	// --- Pass C: sharded per-subcarrier detection + fused scatter -------
+	// --- Pass C: per-subcarrier detection + fused scatter ---------------
 	tr.Begin(obs.StageDetector)
 	if cap(r.depBuf) < 2*ndbps*nSym {
 		r.depBuf = make([]float64, 2*ndbps*nSym)
@@ -230,11 +235,9 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 	for i := range dep {
 		dep[i] = 0 // punctured slots stay zero (erasures)
 	}
-	widx.Store(0)
+	// detectSymbols detects symbols [lo, hi) into dep.
 	//mimonet:hot
-	if _, err := montecarlo.Run(shards, nw, newW, func(w *rxWorker, shard int) (struct{}, error) {
-		lo := shard * batchShardSymbols
-		hi := min(lo+batchShardSymbols, nSym)
+	detectSymbols := func(w *rxWorker, lo, hi int) error {
 		for n := lo; n < hi; n++ {
 			symBase := 2 * ndbps * n
 			for k := 0; k < nd; k++ {
@@ -242,11 +245,11 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 					w.y[a] = tones[a][n*nd+k]
 				}
 				if derr := detector.DetectTo(w.det, w.out, k, w.y); derr != nil {
-					return struct{}{}, derr
+					return derr
 				}
 				kb := k * nbpsc
 				for iss := 0; iss < nss; iss++ {
-					row := scat[iss]
+					row := scat.pos[iss]
 					ob := iss * nbpsc
 					for b := 0; b < nbpsc; b++ {
 						dep[symBase+int(row[kb+b])] = w.out[ob+b]
@@ -254,12 +257,112 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 				}
 			}
 		}
-		return struct{}{}, nil
-	}); err != nil {
-		return nil, err
+		return nil
+	}
+	ev := r.obs.evidence()
+	var evm []metrics.EVM
+	if ev != nil {
+		evm = make([]metrics.EVM, nd)
+	}
+	if r.cfg.TrackChannel {
+		// Detect a symbol, slice its decisions, nudge Ĥ toward them, and
+		// refresh the detector weights before the next symbol.
+		for n := 0; n < nSym; n++ {
+			if err := detectSymbols(r.workers[0], n, n+1); err != nil {
+				return nil, err
+			}
+			r.decide(ctx, scat, tones, dep, n, evm, true)
+			if err := detector.Prepare(ctx.dataH, ctx.noiseVar); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		widx.Store(0)
+		if _, err := montecarlo.Run(shards, nw, newW, func(w *rxWorker, shard int) (struct{}, error) {
+			lo := shard * batchShardSymbols
+			return struct{}{}, detectSymbols(w, lo, min(lo+batchShardSymbols, nSym))
+		}); err != nil {
+			return nil, err
+		}
+		if evm != nil {
+			for n := 0; n < nSym; n++ {
+				r.decide(ctx, scat, tones, dep, n, evm, false)
+			}
+		}
+	}
+	if ev != nil {
+		ev.EVM = flight.EVMBins(evm, htDataSubcarriers)
+		ev.SoftBits = softBits(dep, scat.kept, nSym)
 	}
 	r.depBuf = dep
 	return dep, nil
+}
+
+// decide walks symbol n's data tones in order, slices each stream's hard
+// decisions out of dep through the scatter table into constellation points
+// x̂, and compares every antenna's tone against the channel's prediction
+// H(k)·x̂. The error feeds the per-tone EVM accumulators (nil when no
+// evidence is captured) and, when track is set, the decision-directed LMS
+// step Ĥ(k) += µ·e·x̂ᴴ/‖x̂‖². Tone k's update touches only Ĥ(k), and each
+// antenna's prediction is taken before its row moves, so the EVM measures
+// the estimate the symbol was detected with.
+//
+//mimonet:hot
+func (r *Receiver) decide(ctx *dataCtx, scat *scatter, tones [][]complex128, dep []float64, n int, evm []metrics.EVM, track bool) {
+	nss, nbpsc := ctx.mcs.NSS, ctx.mcs.NBPSCS()
+	nd := len(ctx.dataH)
+	symBase := 2 * ctx.mcs.NDBPS() * n
+	mu := complex(r.cfg.TrackStep, 0)
+	var bitBuf [8]byte
+	var xBuf [4]complex128
+	bits, xhat := bitBuf[:nbpsc], xBuf[:nss]
+	for k := 0; k < nd; k++ {
+		var norm float64
+		for iss := 0; iss < nss; iss++ {
+			row := scat.pos[iss][k*nbpsc : (k+1)*nbpsc]
+			for b, p := range row {
+				bits[b] = 0
+				if dep[symBase+int(p)] < 0 {
+					bits[b] = 1
+				}
+			}
+			xhat[iss] = r.mapper.MapOne(bits)
+			norm += real(xhat[iss])*real(xhat[iss]) + imag(xhat[iss])*imag(xhat[iss])
+		}
+		h := ctx.dataH[k]
+		for a := range tones {
+			// e_a = y_a − Σ_s H[a][s]·x̂_s
+			var est complex128
+			for s := 0; s < nss; s++ {
+				est += h.At(a, s) * xhat[s]
+			}
+			y := tones[a][n*nd+k]
+			if evm != nil {
+				evm[k].Add(y, est)
+			}
+			if !track || norm == 0 {
+				continue
+			}
+			e := y - est
+			for s := 0; s < nss; s++ {
+				h.Set(a, s, h.At(a, s)+mu*e*conj(xhat[s])/complex(norm, 0))
+			}
+		}
+	}
+}
+
+// softBits summarizes the decoder-input LLRs the flight recorder keeps: the
+// surviving (non-punctured) positions of dep, visited in merged-stream order
+// through the scatter table's kept offsets.
+func softBits(dep []float64, kept []int32, nSym int) flight.SoftBitStats {
+	span := len(dep) / nSym
+	var acc flight.SoftAccumulator
+	for n := 0; n < nSym; n++ {
+		for _, p := range kept {
+			acc.Add(dep[n*span+int(p)])
+		}
+	}
+	return acc.Stats()
 }
 
 // ensureTxPilots sizes the reusable per-stream pilot reference slices.

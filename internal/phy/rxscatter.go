@@ -8,7 +8,7 @@ import (
 )
 
 // A scatter table fuses deinterleave → stream merge → depuncture into one
-// indexed store: scat[iss][k·N_BPSCS+b] is the offset within a symbol's
+// indexed store: pos[iss][k·N_BPSCS+b] is the offset within a symbol's
 // 2·N_DBPS-wide depunctured mother-code span where the LLR the detector
 // produced for stream iss, data tone k, bit b must land. The batch data
 // path writes each detected LLR straight to its Viterbi branch-metric slot;
@@ -21,14 +21,44 @@ import (
 // puncture period divides N_DBPS (so every symbol starts at puncture
 // phase 0). buildScatter verifies both by construction — it traces real
 // tagged values through the production transforms rather than re-deriving
-// the index algebra, so the table cannot drift from the scalar path.
-func buildScatter(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([][]int32, error) {
+// the index algebra, so the table cannot drift from them.
+type scatter struct {
+	pos [][]int32
+	// kept lists the span's surviving (non-punctured) offsets in ascending
+	// order — the symbol's slice of the merged, pre-depuncture coded stream.
+	kept []int32
+}
+
+// streamCodecs builds the per-stream deinterleavers and the stream parser of
+// the MCS, the transforms the scatter table fuses.
+func streamCodecs(mcs MCS) ([]*fec.Interleaver, *mimo.StreamParser, error) {
+	ilv := make([]*fec.Interleaver, mcs.NSS)
+	for iss := range ilv {
+		il, err := fec.NewHTInterleaver(mcs.NBPSCS(), mcs.NSS, iss)
+		if err != nil {
+			return nil, nil, err
+		}
+		ilv[iss] = il
+	}
+	parser, err := mimo.NewStreamParser(mcs.NSS, mcs.NBPSCS())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ilv, parser, nil
+}
+
+// buildScatter traces the scatter table of the MCS.
+func buildScatter(mcs MCS) (*scatter, error) {
+	ilv, parser, err := streamCodecs(mcs)
+	if err != nil {
+		return nil, err
+	}
 	nss := mcs.NSS
 	ncbpss := mcs.NCBPSS()
 	ndbps := mcs.NDBPS()
 
 	// Tag every (stream, interleaved position) with a unique nonzero ID and
-	// run one symbol through the scalar chain's exact transforms.
+	// run one symbol through the exact deinterleave/merge/depuncture chain.
 	streams := make([][]float64, nss)
 	deint := make([][]float64, nss)
 	for iss := 0; iss < nss; iss++ {
@@ -55,19 +85,19 @@ func buildScatter(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([
 			scat[iss][j] = -1
 		}
 	}
-	seen := 0
+	var kept []int32
 	for pos, v := range dep {
 		if v == 0 {
 			continue // punctured slot
 		}
 		id := int(v) - 1
 		scat[id/ncbpss][id%ncbpss] = int32(pos)
-		seen++
+		kept = append(kept, int32(pos))
 	}
 	// Every surviving coded bit must have landed exactly once; N_CBPS
 	// surviving positions per symbol is the defining identity of the rate.
-	if seen != mcs.NCBPS() {
-		return nil, fmt.Errorf("phy: scatter trace for MCS %d placed %d of %d coded bits", mcs.Index, seen, mcs.NCBPS())
+	if len(kept) != mcs.NCBPS() {
+		return nil, fmt.Errorf("phy: scatter trace for MCS %d placed %d of %d coded bits", mcs.Index, len(kept), mcs.NCBPS())
 	}
 	for iss := range scat {
 		for j, p := range scat[iss] {
@@ -76,22 +106,22 @@ func buildScatter(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([
 			}
 		}
 	}
-	return scat, nil
+	return &scatter{pos: scat, kept: kept}, nil
 }
 
 // scatterTable returns the cached fused deinterleave/merge/depuncture table
 // for the MCS, building it on first use. The cache is bounded by the MCS
 // table size.
-func (r *Receiver) scatterTable(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([][]int32, error) {
+func (r *Receiver) scatterTable(mcs MCS) (*scatter, error) {
 	if s, ok := r.scatterCache[mcs.Index]; ok {
 		return s, nil
 	}
-	s, err := buildScatter(mcs, ilv, parser)
+	s, err := buildScatter(mcs)
 	if err != nil {
 		return nil, err
 	}
 	if r.scatterCache == nil {
-		r.scatterCache = make(map[int][][]int32)
+		r.scatterCache = make(map[int]*scatter)
 	}
 	r.scatterCache[mcs.Index] = s
 	return s, nil
