@@ -220,7 +220,8 @@ func BenchmarkRealtime(b *testing.B) {
 // bits) coded at rate 5/6, the MCS15 code, with BPSK-over-AWGN LLRs at
 // 8 dB Es/N0 depunctured to the mother-code stream. The decode runs into a
 // reused buffer after Reserve, as the PHY calls it, and reports ns per
-// trellis step.
+// trellis step: workers=1 is the one-shard kernel, workers=NumCPU the
+// sharded decode the receiver runs at its default worker setting.
 func BenchmarkViterbiSoft1500B(b *testing.B) {
 	const snrDB = 8
 	r := rand.New(rand.NewSource(1))
@@ -239,20 +240,28 @@ func BenchmarkViterbiSoft1500B(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := fec.NewViterbi()
-	v.Reserve(len(data))
-	dst := make([]byte, len(data))
-	if got, err := v.DecodeSoftInto(dst, soft, true); err != nil || !bytes.Equal(got, data) {
-		b.Fatalf("decode differs from the sent bits (err %v)", err)
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=NumCPU", runtime.NumCPU()}} {
+		b.Run(w.name, func(b *testing.B) {
+			v := fec.NewViterbi()
+			v.SetWorkers(w.workers)
+			v.Reserve(len(data))
+			dst := make([]byte, len(data))
+			if got, err := v.DecodeSoftInto(dst, soft, true); err != nil || !bytes.Equal(got, data) {
+				b.Fatalf("decode differs from the sent bits (err %v)", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.DecodeSoftInto(dst, soft, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/step")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.DecodeSoftInto(dst, soft, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/step")
 }
 
 // BenchmarkE1Workers and BenchmarkE5Workers track the parallel engine: E1 is

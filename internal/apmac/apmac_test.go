@@ -11,8 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-func TestWireRoundTrip(t *testing.T) {
-	msgs := []*Msg{
+// wireCases is one message of every kind, shared by the round-trip test
+// and the fuzz target's seed corpus.
+func wireCases() []*Msg {
+	return []*Msg{
 		{Kind: KindAssoc, Nonce: 0xDEADBEEF, RXAntennas: 2},
 		{Kind: KindAssocAck, AssignedID: 17, Slot: 5, CWMinExp: 4, CWMaxExp: 10},
 		{Kind: KindSound, Token: 99},
@@ -22,7 +24,10 @@ func TestWireRoundTrip(t *testing.T) {
 		{Kind: KindBye, Reason: "draining"},
 		{Kind: KindBye},
 	}
-	for _, m := range msgs {
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	for _, m := range wireCases() {
 		b, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)

@@ -156,7 +156,9 @@ func AppendMessage(dst []byte, m *Msg) ([]byte, error) {
 
 // DecodeMessage parses one AP MAC message payload (the bytes of a radio
 // data frame). The returned Msg's MPDU and Feedback alias b. Corrupt or
-// truncated input yields typed errors, never panics.
+// truncated input, and fields AppendMessage never writes (feedback over
+// MaxFeedbackBytes, a bye reason over 120 bytes), yield typed errors,
+// never panics.
 func DecodeMessage(b []byte) (*Msg, error) {
 	body, ok := bitutil.CheckFCS(b)
 	if !ok {
@@ -201,8 +203,8 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		m.Token = binary.BigEndian.Uint32(body[0:])
-		if len(body) == 4 {
-			return nil, fmt.Errorf("apmac: feedback message without CSI bytes")
+		if len(body) == 4 || len(body) > 4+MaxFeedbackBytes {
+			return nil, fmt.Errorf("apmac: feedback CSI %d bytes outside [1, %d]", len(body)-4, MaxFeedbackBytes)
 		}
 		m.Feedback = body[4:]
 	case KindData:
@@ -221,6 +223,9 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		n := int(body[0])
+		if n > maxByeReason {
+			return nil, fmt.Errorf("apmac: bye reason %d bytes, at most %d", n, maxByeReason)
+		}
 		if len(body) < 1+n {
 			return nil, fmt.Errorf("apmac: bye reason %d bytes, have %d", n, len(body)-1)
 		}

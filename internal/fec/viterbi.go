@@ -5,6 +5,9 @@ package fec
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
+
+	"repro/internal/montecarlo"
 )
 
 // Viterbi is a reusable maximum-likelihood decoder for the 802.11 BCC. It
@@ -12,13 +15,12 @@ import (
 // llr > 0 ⇒ the coded bit is more likely 0; the magnitude expresses
 // confidence. Hard-decision decoding is the special case llr ∈ {+1, −1}.
 //
-// A Viterbi value is not safe for concurrent use; create one per goroutine.
-// The decoder keeps its path metrics inline and grows its traceback matrix
-// on demand, so steady-state decoding does not allocate.
+// A Viterbi value is not safe for concurrent use; create one per goroutine
+// with NewViterbi. SetWorkers lets one decode spread its trellis over
+// several cores; the decoded bits are the same at every worker count. The
+// decoder keeps its path metrics inline and grows its traceback matrix on
+// demand, so steady-state decoding does not allocate.
 type Viterbi struct {
-	// metrics holds the current and next path-metric vectors of the ACS
-	// loop, which swaps between them every trellis step.
-	metrics [2][numStates]int64
 	// survivors[t] packs, one bit per state, the low bit of the best
 	// predecessor of each state at trellis step t: bit ns is the survivor
 	// decision for state ns. Together with ns it reconstructs the
@@ -28,14 +30,68 @@ type Viterbi struct {
 	// 1500-byte packet's 12k-step traceback stays under 100 KiB and cache
 	// resident, where a byte-per-state layout would stream ~770 KiB.
 	survivors []uint64
+	// shards holds the per-shard metric state of the sharded decode; the
+	// one-shard decode uses shards[0].
+	shards []*shard
+	// workers is the SetWorkers request: ≤ 0 selects GOMAXPROCS.
+	workers int
+	// window is the coupling window W in trellis steps, a multiple of
+	// checkpointEvery. NewViterbi sets couplingWindow; tests shrink it to
+	// force the serial fallback.
+	window int
+	// fallbacks counts sharded decodes that did not couple within the
+	// window and were redone in one shard.
+	fallbacks int
 	// hardLLR is the DecodeHard scratch mapping coded bits to ±1 LLRs.
 	hardLLR []float64
 }
 
-// NewViterbi returns a decoder.
-func NewViterbi() *Viterbi {
-	return &Viterbi{}
+// Sharded decode geometry, in trellis steps. A shard after the first starts
+// from all-equal metrics and is exact once its normalised metric vector
+// equals its predecessor's; the predecessor runs at most couplingWindow
+// steps past the boundary looking for that step, comparing every
+// checkpointEvery steps. A shard is at least minShardSteps long, so each
+// coupling point lies inside the shard it starts and a 200-octet PSDU
+// (1,622 steps) decodes in one shard.
+const (
+	couplingWindow  = 1024
+	checkpointEvery = 16
+	minShardSteps   = 1024
+)
+
+// shard is one contiguous range [lo, hi) of a sharded decode's trellis.
+type shard struct {
+	lo, hi int
+	// metrics holds the shard's current and next path-metric vectors;
+	// final points at the one holding the metrics after the shard's last
+	// step.
+	metrics [2][numStates]int64
+	final   *[numStates]int64
+	// head[j] is the shard's normalised metric vector (m[s] − m[0]) at step
+	// lo + j·checkpointEvery, recorded over its first window steps (shards
+	// after the first); published counts the entries written, so the
+	// predecessor may read head[:published] while this shard runs on.
+	head      [][numStates]int64
+	published atomic.Int32
+	// tail[:tailN] are the normalised vectors at hi + j·checkpointEvery as
+	// the shard runs on into its successor's range, with that stretch's
+	// survivor words in overlap. coupled is the first j whose tail[j]
+	// equals the successor's head[j], or −1 while none is known.
+	tail    [][numStates]int64
+	tailN   int
+	overlap []uint64
+	coupled int
 }
+
+// NewViterbi returns a decoder that decodes on the calling goroutine.
+func NewViterbi() *Viterbi {
+	return &Viterbi{workers: 1, window: couplingWindow}
+}
+
+// SetWorkers bounds how many cores one decode may use: n ≤ 0 selects
+// GOMAXPROCS at decode time and 1 decodes on the calling goroutine.
+// Trellises shorter than 2·1024 steps always decode in one shard.
+func (v *Viterbi) SetWorkers(n int) { v.workers = n }
 
 // Depuncture expands coded values received at the given rate back to the
 // mother-code stream of 2·dataBits values, inserting zeros (erasures) at
@@ -122,6 +178,16 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // decoded bits equal those of the straightforward 128-edge sweep run over
 // the quantised LLRs.
 //
+// With more than one worker the trellis is split into up to that many
+// contiguous shards of at least 1024 steps, run concurrently. The result
+// is the one-shard decode's, bit for bit: ACS decisions depend only on the
+// differences between path metrics, and int64 sums are exact, so a shard
+// started from all-equal metrics decides exactly as the full trellis does
+// from the first step at which its normalised metric vector equals its
+// predecessor's. The predecessor runs on past the boundary to find that
+// step and supplies the survivors before it. A boundary that does not
+// couple within the window makes the decode run again in one shard.
+//
 //mimonet:hot
 func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]byte, error) {
 	if len(llr)%2 != 0 {
@@ -134,22 +200,19 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 	v.ensureTraceback(steps)
 	scale := llrScale(llr)
 
-	const unreachable = math.MinInt64 / 4
-	cur, nxt := &v.metrics[0], &v.metrics[1]
-	for s := range cur {
-		cur[s] = unreachable
+	n := v.layout(steps, v.shardCount(steps))
+	if n > 1 && !v.runSharded(llr, scale, n) {
+		v.fallbacks++
+		n = v.layout(steps, 1)
 	}
-	cur[0] = 0 // encoder starts in state 0
-	for t := 0; t < steps; t++ {
-		la, lb := quantizeLLR(llr[2*t], scale), quantizeLLR(llr[2*t+1], scale)
-		v.survivors[t] = acsStep(cur, nxt, la+lb, la-lb)
-		cur, nxt = nxt, cur
+	if n == 1 {
+		v.runShard(0, 1, llr, scale)
 	}
 
 	state := 0
 	if !terminated {
 		best := int64(math.MinInt64)
-		for s, m := range cur {
+		for s, m := range v.shards[n-1].final {
 			if m > best {
 				best, state = m, s
 			}
@@ -165,6 +228,131 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 		state = ((state << 1) & (numStates - 1)) | int((v.survivors[t]>>state)&1)
 	}
 	return bits, nil
+}
+
+// shardCount is the number of shards a steps-long trellis splits into: one
+// per worker, but none shorter than minShardSteps.
+func (v *Viterbi) shardCount(steps int) int {
+	return max(1, min(montecarlo.Workers(v.workers), steps/minShardSteps))
+}
+
+// layout splits [0, steps) into n near-equal shard ranges and returns n.
+func (v *Viterbi) layout(steps, n int) int {
+	v.ensureShards(n)
+	for k, s := range v.shards[:n] {
+		s.lo, s.hi = k*steps/n, (k+1)*steps/n
+		s.published.Store(0)
+	}
+	return n
+}
+
+// runSharded runs the n shards concurrently, then joins them. It reports
+// false, leaving the traceback matrix partly overwritten, when some
+// boundary did not couple within the window.
+func (v *Viterbi) runSharded(llr []float64, scale float64, n int) bool {
+	_, err := montecarlo.Run(n, n,
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, k int) (struct{}, error) {
+			v.runShard(k, n, llr, scale)
+			return struct{}{}, nil
+		})
+	return err == nil && v.join(n)
+}
+
+// join completes the traceback matrix of n finished shards: the survivors
+// of each boundary stretch [lo, coupling step) come from the predecessor's
+// overlap. It reports false when some boundary did not couple.
+func (v *Viterbi) join(n int) bool {
+	for k := 1; k < n; k++ {
+		prev, s := v.shards[k-1], v.shards[k]
+		c := prev.coupled
+		for j := 0; c < 0 && j < prev.tailN; j++ {
+			// Every head entry is published now; the predecessor stopped
+			// comparing at the ones it could not see yet.
+			if prev.tail[j] == s.head[j] {
+				c = j
+			}
+		}
+		if c < 0 {
+			return false
+		}
+		copy(v.survivors[s.lo:], prev.overlap[:c*checkpointEvery])
+	}
+	return true
+}
+
+// runShard runs the ACS over shard k of n. Shard 0 starts from the encoder's
+// state 0; a later shard starts from all-zero metrics and publishes its
+// normalised vector at each checkpoint of its first window steps. A shard
+// with a successor then runs on into the successor's range, writing the
+// survivors to its overlap buffer, until its normalised vector equals the
+// successor's at a checkpoint or the window is spent.
+//
+//mimonet:hot
+func (v *Viterbi) runShard(k, n int, llr []float64, scale float64) {
+	const unreachable = math.MinInt64 / 4
+	s := v.shards[k]
+	cur, nxt := &s.metrics[0], &s.metrics[1]
+	*cur = [numStates]int64{}
+	if k == 0 {
+		for i := 1; i < numStates; i++ {
+			cur[i] = unreachable
+		}
+	}
+	t := s.lo
+	if k > 0 {
+		for j := 0; ; j++ {
+			normalise(&s.head[j], cur)
+			s.published.Store(int32(j + 1))
+			if j*checkpointEvery == v.window {
+				break
+			}
+			cur, nxt = advance(cur, nxt, v.survivors[t:t+checkpointEvery], llr, t, scale)
+			t += checkpointEvery
+		}
+	}
+	cur, nxt = advance(cur, nxt, v.survivors[t:s.hi], llr, t, scale)
+	s.final = cur
+	if k+1 == n {
+		return
+	}
+	next := v.shards[k+1]
+	s.coupled, s.tailN = -1, 0
+	compared := 0
+	for j := 0; ; j++ {
+		normalise(&s.tail[j], cur)
+		s.tailN = j + 1
+		for pub := int(next.published.Load()); compared < s.tailN && compared < pub; compared++ {
+			if s.tail[compared] == next.head[compared] {
+				s.coupled = compared
+				return
+			}
+		}
+		if j*checkpointEvery == v.window {
+			return
+		}
+		cur, nxt = advance(cur, nxt, s.overlap[j*checkpointEvery:(j+1)*checkpointEvery], llr, s.hi+j*checkpointEvery, scale)
+	}
+}
+
+// advance runs the ACS over the len(surv) trellis steps from step t0,
+// writing each step's survivor word to surv, and returns the metric vectors
+// swapped so that the first holds the metrics after the last step.
+func advance(cur, nxt *[numStates]int64, surv []uint64, llr []float64, t0 int, scale float64) (*[numStates]int64, *[numStates]int64) {
+	in := llr[2*t0 : 2*(t0+len(surv))]
+	for i := range surv {
+		la, lb := quantizeLLR(in[2*i], scale), quantizeLLR(in[2*i+1], scale)
+		surv[i] = acsStep(cur, nxt, la+lb, la-lb)
+		cur, nxt = nxt, cur
+	}
+	return cur, nxt
+}
+
+// normalise writes m relative to state 0's metric into dst.
+func normalise(dst, m *[numStates]int64) {
+	for s := range m {
+		dst[s] = m[s] - m[0]
+	}
 }
 
 // llrFullScale is the quantised magnitude of ±Inf and the ceiling for the
@@ -220,6 +408,27 @@ func (v *Viterbi) DecodeHard(coded []byte, terminated bool) ([]byte, error) {
 func (v *Viterbi) Reserve(steps int) {
 	if steps > 0 {
 		v.ensureTraceback(steps)
+		v.ensureShards(v.shardCount(steps))
+	}
+}
+
+// ensureShards grows the shard set to n shards with checkpoint and overlap
+// storage for the current window.
+func (v *Viterbi) ensureShards(n int) {
+	for len(v.shards) < n {
+		v.shards = append(v.shards, &shard{})
+	}
+	cps := v.window/checkpointEvery + 1
+	for _, s := range v.shards[1:n] {
+		if len(s.head) < cps {
+			s.head = make([][numStates]int64, cps)
+		}
+	}
+	for _, s := range v.shards[:n-1] {
+		if len(s.tail) < cps {
+			s.tail = make([][numStates]int64, cps)
+			s.overlap = make([]uint64, v.window)
+		}
 	}
 }
 

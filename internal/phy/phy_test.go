@@ -362,7 +362,7 @@ func TestDescrambleRecoversAnySeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		bits := tx.assembleDataBits([]byte{0xAB, 0xCD})
-		out := descramble(bits)
+		out := descrambleInto(nil, bits)
 		for i := 0; i < 16; i++ {
 			if out[i] != 0 {
 				t.Fatalf("seed %#x: SERVICE bit %d = %d after descramble", seed, i, out[i])

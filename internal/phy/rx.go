@@ -64,10 +64,12 @@ type RxConfig struct {
 	CPMLSync bool
 	// TrackStep is the LMS step size µ; default 0.25 when tracking.
 	TrackStep float64
-	// Workers bounds the in-packet parallelism of the batched data phase:
-	// 0 selects GOMAXPROCS, 1 forces the inline serial schedule. Decoded
-	// output is bit-identical at every worker count (the batch passes use
-	// fixed-size symbol shards writing disjoint regions).
+	// Workers bounds the in-packet parallelism of the batched data phase
+	// and of the Viterbi decode: 0 selects GOMAXPROCS, 1 forces the inline
+	// serial schedule. Decoded output is bit-identical at every worker
+	// count (the batch passes use fixed-size symbol shards writing disjoint
+	// regions; the decode splits the trellis into shards joined where their
+	// path metrics provably coincide).
 	Workers int
 }
 
@@ -105,9 +107,12 @@ type Receiver struct {
 	htDem  *ofdm.Demodulator
 	vit    *fec.Viterbi
 	// Per-packet scratch reused across Receive calls so steady-state
-	// decoding stays off the allocator's hot path.
-	depBuf []float64
-	decBuf []byte
+	// decoding stays off the allocator's hot path: the depunctured LLRs,
+	// the decoded and the descrambled bits, and the channel-state analyser.
+	depBuf   []float64
+	decBuf   []byte
+	descBuf  []byte
+	analyzer sounding.Analyzer
 	// Cached MIMO detector and the matching constellation mapper (for the
 	// decision-directed slicing of channel tracking and evidence EVM),
 	// reused while consecutive packets announce the same (scheme, streams);
@@ -208,12 +213,14 @@ func NewReceiver(cfg RxConfig) (*Receiver, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("phy: worker count %d is negative", cfg.Workers)
 	}
+	vit := fec.NewViterbi()
+	vit.SetWorkers(cfg.Workers)
 	return &Receiver{
 		cfg:    cfg,
 		sig:    newSigCodec(),
 		legDem: ofdm.NewDemodulator(ofdm.LegacyToneMap),
 		htDem:  ofdm.NewDemodulator(ofdm.HTToneMap),
-		vit:    fec.NewViterbi(),
+		vit:    vit,
 	}, nil
 }
 
@@ -440,7 +447,7 @@ func (r *Receiver) acquire(rx [][]complex128, tr *obs.Trace) (*RxResult, *dataCt
 	dataH := htEst.DataMatrices()
 	if snr := leg.SNR(); snr > 0 {
 		// Channel-state metrics for link adaptation; failure is not fatal.
-		if rep, serr := sounding.Analyze(dataH, snr); serr == nil {
+		if rep, serr := r.analyzer.Analyze(dataH, snr); serr == nil {
 			result.Sounding = rep
 		}
 	}
@@ -506,10 +513,8 @@ func (r *Receiver) decode(ctx *dataCtx, dep []float64, tr *obs.Trace) error {
 	if r.obs != nil {
 		r.obs.prefec(preFECCompareMother(decoded, dep))
 	}
-	// Descramble: recover the seed from the SERVICE field (the first 7
-	// scrambled bits reveal the initial state).
-	descrambled := descramble(decoded)
-	psdu, err := bitutil.BitsToBytes(descrambled[16 : 16+8*ctx.htsig.Length])
+	r.descBuf = descrambleInto(r.descBuf, decoded)
+	psdu, err := bitutil.BitsToBytes(r.descBuf[16 : 16+8*ctx.htsig.Length])
 	if err != nil {
 		return err
 	}
@@ -517,41 +522,41 @@ func (r *Receiver) decode(ctx *dataCtx, dep []float64, tr *obs.Trace) error {
 	return nil
 }
 
-// descramble inverts the self-synchronizing scrambler given that the first
-// 7 data bits (start of SERVICE) were zero before scrambling: the received
-// first 7 bits ARE the scrambler sequence prefix, from which the seed is
-// recovered (IEEE 802.11-2012 §18.3.5.7).
-func descramble(bits []byte) []byte {
+// descrambleInto inverts the self-synchronizing scrambler into dst, which
+// is grown only when short and returned resliced to len(bits). The first 7
+// SERVICE bits are zero before scrambling, so the received first 7 bits are
+// the scrambler's output prefix b0…b6 (IEEE 802.11-2012 §18.3.5.7). Each
+// output bit is also shifted into the 7-bit LFSR, so after those 7 steps the
+// register holds exactly b0…b6, oldest bit at the top: the descrambler
+// continues from that state with no seed search. An all-zero prefix is the
+// locked LFSR no seed produces (corrupted SERVICE); the bits are then
+// returned as received. Fewer than 7 bits are returned as received too.
+func descrambleInto(dst, bits []byte) []byte {
+	if cap(dst) < len(bits) {
+		dst = make([]byte, len(bits))
+	}
+	dst = dst[:len(bits)]
 	if len(bits) < 7 {
-		return bits
+		copy(dst, bits)
+		return dst
 	}
-	// Reconstruct the LFSR state from the first 7 output bits. Output bit
-	// b_i = x7 ⊕ x4 of the state at step i and also becomes the new x1.
-	// Running the recursion backwards from the observed prefix yields the
-	// seed; equivalently, find the unique 7-bit seed whose sequence prefix
-	// matches.
-	out := make([]byte, len(bits))
-	for seed := 1; seed <= 0x7F; seed++ {
-		s := bitutil.NewScrambler(byte(seed))
-		match := true
-		for i := 0; i < 7; i++ {
-			if s.NextBit() != bits[i]&1 {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		d := bitutil.NewScrambler(byte(seed))
-		for i := range bits {
-			out[i] = (bits[i] & 1) ^ d.NextBit()
-		}
-		return out
+	var state byte
+	for _, b := range bits[:7] {
+		state = state<<1 | b&1
 	}
-	// No seed matched (corrupted SERVICE); return as-is.
-	copy(out, bits)
-	return out
+	if state == 0 {
+		copy(dst, bits)
+		return dst
+	}
+	for i := range dst[:7] {
+		dst[i] = 0 // each prefix bit XORed with itself
+	}
+	for i := 7; i < len(bits); i++ {
+		fb := (state>>6 ^ state>>3) & 1
+		state = (state<<1 | fb) & 0x7F
+		dst[i] = bits[i]&1 ^ fb
+	}
+	return dst
 }
 
 // detect runs the streaming packet detector over the buffers.

@@ -175,7 +175,8 @@ func AppendMessage(dst []byte, m *Msg) ([]byte, error) {
 
 // DecodeMessage parses one session message payload (the bytes of a radio
 // data frame). The returned Msg's MPDU aliases b. Corrupt or truncated
-// input yields typed errors, never panics.
+// input, and fields AppendMessage never writes (a reset reason over 120
+// bytes), yield typed errors, never panics.
 func DecodeMessage(b []byte) (*Msg, error) {
 	body, ok := bitutil.CheckFCS(b)
 	if !ok {
@@ -239,6 +240,9 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		n := int(body[0])
+		if n > maxResetReason {
+			return nil, fmt.Errorf("session: reset reason %d bytes, at most %d", n, maxResetReason)
+		}
 		if len(body) < 1+n {
 			return nil, fmt.Errorf("session: reset reason %d bytes, have %d", n, len(body)-1)
 		}
@@ -263,14 +267,15 @@ func EncodeChunk(seq uint16, offset uint64, data []byte) ([]byte, error) {
 }
 
 // DecodeChunk verifies and unpacks a mac-framed chunk. The returned data is
-// an independent copy (mac.Decode copies the payload).
+// an independent copy (mac.Decode copies the payload). A chunk is 1 to
+// MaxChunkBytes bytes, the range EncodeChunk writes.
 func DecodeChunk(mpdu []byte) (seq uint16, offset uint64, data []byte, err error) {
 	f, err := mac.Decode(mpdu)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if len(f.Payload) < 9 {
-		return 0, 0, nil, fmt.Errorf("session: chunk payload %d bytes, need ≥ 9", len(f.Payload))
+	if len(f.Payload) < 9 || len(f.Payload) > 8+MaxChunkBytes {
+		return 0, 0, nil, fmt.Errorf("session: chunk payload %d bytes outside [9, %d]", len(f.Payload), 8+MaxChunkBytes)
 	}
 	return f.Seq, binary.BigEndian.Uint64(f.Payload), f.Payload[8:], nil
 }

@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/mac"
 )
 
-func TestMessageRoundTrip(t *testing.T) {
+// wireCases is one message of every kind, shared by the round-trip test
+// and the fuzz targets' seed corpora.
+func wireCases(tb testing.TB) []Msg {
 	mpdu, err := EncodeChunk(7, 4096, []byte("payload bytes"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	cases := []Msg{
+	return []Msg{
 		{Kind: KindHello, Total: 1 << 20, ChunkSize: 1024},
 		{Kind: KindHelloAck, ChunkSize: 1024, Credit: 32},
 		{Kind: KindData, MPDU: mpdu},
@@ -23,7 +26,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Kind: KindFinAck},
 		{Kind: KindReset, Reason: "busy"},
 	}
-	for _, want := range cases {
+}
+
+func TestMessageRoundTrip(t *testing.T) {
+	for _, want := range wireCases(t) {
 		t.Run(want.Kind.String(), func(t *testing.T) {
 			wire, err := AppendMessage(nil, &want)
 			if err != nil {
@@ -89,6 +95,16 @@ func TestChunkRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := DecodeChunk(mpdu[:len(mpdu)-1]); err == nil {
 		t.Fatal("truncated MPDU accepted")
+	}
+	// A valid MAC frame carrying more than MaxChunkBytes is not a chunk
+	// EncodeChunk could have written: here the largest chunk's MPDU,
+	// FCS included, wrapped in a second FCS.
+	full, err := EncodeChunk(1, 0, make([]byte, MaxChunkBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := DecodeChunk(bitutil.AppendFCS(full)); err == nil {
+		t.Fatal("oversized chunk decoded")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func TestEigenvaluesKnown(t *testing.T) {
 	// Diagonal matrix: eigenvalues are the diagonal.
 	m := cmatrix.FromRows([][]complex128{{3, 0}, {0, 7}})
-	eig, err := hermitianEigenvalues(m)
+	eig, err := new(Analyzer).eigenvalues(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestEigenvaluesKnown(t *testing.T) {
 	}
 	// Hermitian with complex off-diagonal: [[2, i],[−i, 2]] has eigenvalues 1, 3.
 	m2 := cmatrix.FromRows([][]complex128{{2, 1i}, {-1i, 2}})
-	eig2, err := hermitianEigenvalues(m2)
+	eig2, err := new(Analyzer).eigenvalues(m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestEigenvaluesMatchTraceAndDet(t *testing.T) {
 			h.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
 		gram := cmatrix.Mul(h.Hermitian(), h) // Hermitian PSD
-		eig, err := hermitianEigenvalues(gram)
+		eig, err := new(Analyzer).eigenvalues(gram)
 		if err != nil {
 			t.Fatal(err)
 		}
