@@ -468,19 +468,8 @@ func TestViterbiAWGNMatchesReference(t *testing.T) {
 	frames := 0
 	for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
 		for snrDB := -1; snrDB <= 5; snrDB++ {
-			sigma := math.Sqrt(math.Pow(10, -float64(snrDB)/10) / 2)
 			for f := 0; f < 64; f++ {
-				data := addTail(randBits(r, 200))
-				coded := Encode(data, rate)
-				llr := make([]float64, len(coded))
-				for i, c := range coded {
-					y := 1 - 2*float64(c) + sigma*r.NormFloat64()
-					llr[i] = 2 * y / (sigma * sigma)
-				}
-				soft, err := Depuncture(llr, len(data), rate)
-				if err != nil {
-					t.Fatal(err)
-				}
+				soft := awgnFrame(r, 200+ConstraintLength-1, rate, float64(snrDB))
 				terminated := f%2 == 0
 				got, err := v.DecodeSoft(soft, terminated)
 				if err != nil {

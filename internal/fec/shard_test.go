@@ -198,22 +198,17 @@ func TestViterbiShardedFallback(t *testing.T) {
 		}
 		before := v.fallbacks
 		zeros := make([]float64, 2*steps)
-		if got, want := mustDecode(t, v, zeros), referenceDecode(zeros, true); !bytes.Equal(got, want) {
+		got, err := v.DecodeSoft(zeros, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, referenceDecode(zeros, true)) {
 			t.Fatalf("window %d: all-erasure decode differs from the reference sweep", window)
 		}
 		if v.fallbacks != before {
 			t.Fatalf("window %d: the all-erasure frame did not couple at the shard boundaries", window)
 		}
 	}
-}
-
-func mustDecode(t *testing.T, v *Viterbi, llr []float64) []byte {
-	t.Helper()
-	got, err := v.DecodeSoft(llr, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
 }
 
 // TestViterbiShardedAllocs pins the sharded decode's allocations after
