@@ -3,6 +3,7 @@ package framework
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -158,7 +159,10 @@ func (l *Loader) loadDirUncached(dir, importPath string) (*Package, error) {
 }
 
 // goFilesIn lists buildable Go file names in dir, sorted, excluding tests
-// unless includeTests.
+// unless includeTests. Build constraints (//go:build lines and _GOOS/_GOARCH
+// file names) are honoured for the host's build context, as go build and
+// go vet honour them, so a package with per-architecture files declaring
+// the same names type-checks.
 func goFilesIn(dir string, includeTests bool) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -171,6 +175,11 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 			continue
 		}
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -5,6 +5,7 @@
 package cmatrix
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -260,9 +261,14 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
+// ErrSingular is the error Inverse and InverseInto return for a matrix
+// that is numerically singular (a pivot below 1e-13 in magnitude). It is a
+// fixed value, so a rank-deficient tone costs a receiver no allocation.
+var ErrSingular = errors.New("cmatrix: singular matrix")
+
 // Inverse returns m⁻¹ computed by Gauss-Jordan elimination with partial
-// pivoting, or an error if m is singular (pivot below the numerical
-// threshold) or non-square.
+// pivoting, or an error if m is singular (ErrSingular: pivot below the
+// numerical threshold) or non-square.
 func (m *Matrix) Inverse() (*Matrix, error) {
 	inv, _, err := m.InverseInto(nil, nil)
 	return inv, err
@@ -296,7 +302,7 @@ func (m *Matrix) InverseInto(dst, work *Matrix) (*Matrix, *Matrix, error) {
 			}
 		}
 		if pmax < 1e-13 {
-			return nil, a, fmt.Errorf("cmatrix: singular matrix (pivot %g at column %d)", pmax, col)
+			return nil, a, ErrSingular
 		}
 		if pivot != col {
 			a.swapRows(col, pivot)

@@ -1,6 +1,7 @@
 package cmatrix
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -150,8 +151,8 @@ func TestInverseProperty(t *testing.T) {
 
 func TestInverseSingular(t *testing.T) {
 	m := FromRows([][]complex128{{1, 2}, {2, 4}})
-	if _, err := m.Inverse(); err == nil {
-		t.Error("singular matrix should fail to invert")
+	if _, err := m.Inverse(); !errors.Is(err, ErrSingular) {
+		t.Errorf("singular matrix inverse error = %v, want ErrSingular", err)
 	}
 	rect := New(2, 3)
 	if _, err := rect.Inverse(); err == nil {
@@ -380,7 +381,7 @@ func TestInverseIntoErrors(t *testing.T) {
 		t.Error("non-square InverseInto should fail")
 	}
 	sing := FromRows([][]complex128{{1, 2}, {2, 4}})
-	if _, _, err := sing.InverseInto(nil, nil); err == nil {
-		t.Error("singular InverseInto should fail")
+	if _, _, err := sing.InverseInto(nil, nil); !errors.Is(err, ErrSingular) {
+		t.Errorf("singular InverseInto error = %v, want ErrSingular", err)
 	}
 }

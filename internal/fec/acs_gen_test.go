@@ -31,13 +31,18 @@ package fec
 // from cur into nxt and returns the step's packed survivor bits. p and q
 // are la+lb and la−lb for the step's quantised LLRs. Butterfly j (states
 // 2j, 2j+1 → j, j+32) adds b to the 2j→j and 2j+1→j+32 edges and −b to the
-// other two, where b is the correlation of butterflyOut[j] with (la, lb);
-// the survivor bit is the sign of the exact metric difference, 1 iff the
-// odd predecessor strictly wins. The select is branchless (max compiles to
-// a conditional move) because channel noise decides the survivors, so a
-// branch would mispredict about half the time.
-func acsStep(cur, nxt *[numStates]int64, p, q int64) (surv uint64) {
-	var m0, m1, a, c, d, e int64
+// other two, where b is the correlation of butterflyOut[j] with (la, lb).
+// The metrics wrap around int32: each pair of candidates is compared by
+// the sign of its wrapped difference x, exact while the true difference is
+// below 2^31, and the survivor bit is that sign, 1 iff the odd predecessor
+// strictly wins. The selects compile to conditional moves, not branches,
+// since channel noise decides the survivors and a branch would mispredict
+// about half the time. The low and high survivor halves (states 0–31 and
+// 32–63) accumulate in 32-bit words. This is the step the AVX2 kernel runs
+// eight lanes at a time.
+func acsStep(cur, nxt *[numStates]int32, p, q int32) uint64 {
+	var m0, m1, a, c, d, e, x, y int32
+	var lo, hi uint32
 `)
 	for j, o := range butterflyOut {
 		b := branch[o]
@@ -52,14 +57,16 @@ func acsStep(cur, nxt *[numStates]int64, p, q int64) (surv uint64) {
 		fmt.Fprintf(&buf, "\n\tm0, m1 = cur[%d], cur[%d]\n", 2*j, 2*j+1)
 		fmt.Fprintf(&buf, "\ta, c, d, e = %s, %s, %s, %s\n",
 			edge("m0", false), edge("m1", true), edge("m0", true), edge("m1", false))
-		fmt.Fprintf(&buf, "\tnxt[%d], nxt[%d] = max(a, c), max(d, e)\n", j, hi)
-		lo := ""
+		fmt.Fprintf(&buf, "\tx, y = a-c, d-e\n")
+		fmt.Fprintf(&buf, "\tif x < 0 {\n\t\ta = c\n\t}\n\tif y < 0 {\n\t\td = e\n\t}\n")
+		fmt.Fprintf(&buf, "\tnxt[%d], nxt[%d] = a, d\n", j, hi)
+		shift := ""
 		if j > 0 {
-			lo = fmt.Sprintf("<<%d", j)
+			shift = fmt.Sprintf("<<%d", j)
 		}
-		fmt.Fprintf(&buf, "\tsurv |= uint64(a-c)>>63%s | uint64(d-e)>>63<<%d\n", lo, hi)
+		fmt.Fprintf(&buf, "\tlo |= uint32(x)>>31%s\n\thi |= uint32(y)>>31%s\n", shift, shift)
 	}
-	buf.WriteString("\treturn surv\n}\n")
+	buf.WriteString("\treturn uint64(lo) | uint64(hi)<<32\n}\n")
 	src, err := format.Source(buf.Bytes())
 	if err != nil {
 		panic(err)

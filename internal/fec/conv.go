@@ -86,20 +86,26 @@ func parity64(x uint32) byte {
 }
 
 // outputs[state][input] packs the two coded bits (A in bit 0, B in bit 1)
-// produced when `input` is shifted into `state`.
-var outputs [numStates][2]byte
-
-// nextState[state][input] is the successor register state.
-var nextState [numStates][2]int
+// produced when `input` is shifted into `state`; nextState[state][input] is
+// the successor register state.
+var outputs, nextState = trellis()
 
 // butterflyOut[j] is the coded-bit pair emitted on the state-2j, input-0
 // edge of trellis butterfly j (states 2j, 2j+1 → j, j+32). Because both
 // generators tap the newest and oldest register bits, the other three edges
 // of the butterfly emit either the same pair or its complement o^3, which
 // is what lets the Viterbi ACS loop process four edges per table load.
-var butterflyOut [numStates / 2]byte
+var butterflyOut = func() (b [numStates / 2]byte) {
+	for j := range b {
+		b[j] = outputs[2*j][0]
+	}
+	return b
+}()
 
-func init() {
+// trellis derives the encoder's output and next-state tables from the
+// generator polynomials. The tables are package variables initialised in
+// dependency order, so the ACS kernels' tables may be derived from them.
+func trellis() (out [numStates][2]byte, next [numStates][2]int) {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
 			// Register holds the K-1 previous bits; the full window is the
@@ -107,13 +113,11 @@ func init() {
 			window := uint32(in)<<(ConstraintLength-1) | uint32(s)
 			a := parity64(window & genA)
 			b := parity64(window & genB)
-			outputs[s][in] = a | b<<1
-			nextState[s][in] = int(window >> 1)
+			out[s][in] = a | b<<1
+			next[s][in] = int(window >> 1)
 		}
 	}
-	for j := range butterflyOut {
-		butterflyOut[j] = outputs[2*j][0]
-	}
+	return out, next
 }
 
 // Encode convolutionally encodes data bits (one bit per byte) with the
@@ -142,6 +146,33 @@ func Encode(data []byte, rate Rate) []byte {
 		state = nextState[state][in]
 	}
 	return out
+}
+
+// CompareMother re-encodes data bits (one bit per byte) with the rate-1/2
+// mother code from the zero state and compares each coded bit with the hard
+// decision (1 iff the value is negative) of the matching value of llr, a
+// depunctured stream of two values per data bit. Zero values — the
+// erasures at punctured positions — are skipped, and so is anything past
+// the shorter of the two streams. It returns the disagreements and the
+// number of bits compared. It walks the encoder trellis in place and
+// allocates nothing.
+func CompareMother(data []byte, llr []float64) (errs, bits int) {
+	state := 0
+	for i, bit := range data[:min(len(data), (len(llr)+1)/2)] {
+		in := int(bit & 1)
+		o := outputs[state][in]
+		state = nextState[state][in]
+		for k, x := range llr[2*i : min(2*i+2, len(llr))] {
+			if x == 0 {
+				continue
+			}
+			bits++
+			if (x < 0) != (o>>k&1 == 1) {
+				errs++
+			}
+		}
+	}
+	return errs, bits
 }
 
 // codedLen returns the number of coded bits produced by encoding n data bits

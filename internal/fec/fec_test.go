@@ -85,141 +85,155 @@ func TestEncodeLenMatchesCodedLen(t *testing.T) {
 }
 
 func TestViterbiNoiselessAllRates(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	v := NewViterbi()
-	for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
-		data := randBits(r, 300)
-		padded := addTail(data)
-		coded := Encode(padded, rate)
-		llr := HardToLLR(nil, coded)
-		depunct, err := Depuncture(llr, len(padded), rate)
-		if err != nil {
-			t.Fatalf("rate %v: %v", rate, err)
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(2))
+		v := NewViterbi()
+		for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
+			data := randBits(r, 300)
+			padded := addTail(data)
+			coded := Encode(padded, rate)
+			llr := HardToLLR(nil, coded)
+			depunct, err := Depuncture(llr, len(padded), rate)
+			if err != nil {
+				t.Fatalf("rate %v: %v", rate, err)
+			}
+			decoded, err := v.DecodeSoft(depunct, true)
+			if err != nil {
+				t.Fatalf("rate %v: %v", rate, err)
+			}
+			if !bytes.Equal(decoded[:len(data)], data) {
+				t.Errorf("rate %v: noiseless decode failed", rate)
+			}
 		}
-		decoded, err := v.DecodeSoft(depunct, true)
-		if err != nil {
-			t.Fatalf("rate %v: %v", rate, err)
-		}
-		if !bytes.Equal(decoded[:len(data)], data) {
-			t.Errorf("rate %v: noiseless decode failed", rate)
-		}
-	}
+	})
 }
 
 func TestViterbiHardDecode(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	v := NewViterbi()
-	data := randBits(r, 200)
-	padded := addTail(data)
-	coded := Encode(padded, Rate1_2)
-	decoded, err := v.DecodeHard(coded, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(decoded[:len(data)], data) {
-		t.Error("hard decode failed on clean input")
-	}
-}
-
-func TestViterbiCorrectsErrors(t *testing.T) {
-	// The K=7 code has free distance 10 at rate 1/2: any pattern of up to 2
-	// well-separated bit errors must be corrected.
-	r := rand.New(rand.NewSource(4))
-	v := NewViterbi()
-	for trial := 0; trial < 25; trial++ {
-		data := randBits(r, 150)
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(3))
+		v := NewViterbi()
+		data := randBits(r, 200)
 		padded := addTail(data)
 		coded := Encode(padded, Rate1_2)
-		// Flip 4 coded bits spaced far apart.
-		for k := 0; k < 4; k++ {
-			pos := k*(len(coded)/4) + r.Intn(len(coded)/8)
-			coded[pos] ^= 1
-		}
 		decoded, err := v.DecodeHard(coded, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(decoded[:len(data)], data) {
-			t.Fatalf("trial %d: failed to correct spaced errors", trial)
+			t.Error("hard decode failed on clean input")
 		}
-	}
+	})
+}
+
+func TestViterbiCorrectsErrors(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		// The K=7 code has free distance 10 at rate 1/2: any pattern of up to 2
+		// well-separated bit errors must be corrected.
+		r := rand.New(rand.NewSource(4))
+		v := NewViterbi()
+		for trial := 0; trial < 25; trial++ {
+			data := randBits(r, 150)
+			padded := addTail(data)
+			coded := Encode(padded, Rate1_2)
+			// Flip 4 coded bits spaced far apart.
+			for k := 0; k < 4; k++ {
+				pos := k*(len(coded)/4) + r.Intn(len(coded)/8)
+				coded[pos] ^= 1
+			}
+			decoded, err := v.DecodeHard(coded, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(decoded[:len(data)], data) {
+				t.Fatalf("trial %d: failed to correct spaced errors", trial)
+			}
+		}
+	})
 }
 
 func TestViterbiSoftBeatsHardWithConfidence(t *testing.T) {
-	// A flipped bit with low confidence should be forgiven by the soft
-	// decoder even when adjacent to other damage.
-	r := rand.New(rand.NewSource(5))
-	v := NewViterbi()
-	data := randBits(r, 100)
-	padded := addTail(data)
-	coded := Encode(padded, Rate1_2)
-	llr := HardToLLR(nil, coded)
-	// Inflict a burst of 6 flips but mark them as very low confidence.
-	for i := 40; i < 46; i++ {
-		llr[i] = -llr[i] * 0.01
-	}
-	decoded, err := v.DecodeSoft(llr, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(decoded[:len(data)], data) {
-		t.Error("soft decoder failed on low-confidence burst")
-	}
+	forEachKernel(t, func(t *testing.T) {
+		// A flipped bit with low confidence should be forgiven by the soft
+		// decoder even when adjacent to other damage.
+		r := rand.New(rand.NewSource(5))
+		v := NewViterbi()
+		data := randBits(r, 100)
+		padded := addTail(data)
+		coded := Encode(padded, Rate1_2)
+		llr := HardToLLR(nil, coded)
+		// Inflict a burst of 6 flips but mark them as very low confidence.
+		for i := 40; i < 46; i++ {
+			llr[i] = -llr[i] * 0.01
+		}
+		decoded, err := v.DecodeSoft(llr, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(decoded[:len(data)], data) {
+			t.Error("soft decoder failed on low-confidence burst")
+		}
+	})
 }
 
 func TestViterbiUnterminated(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	v := NewViterbi()
-	data := randBits(r, 120)
-	coded := Encode(data, Rate1_2)
-	decoded, err := v.DecodeHard(coded, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without termination, only the bits older than the decision depth are
-	// guaranteed; check all but the last 3·K.
-	safe := len(data) - 3*ConstraintLength
-	if !bytes.Equal(decoded[:safe], data[:safe]) {
-		t.Error("unterminated decode failed in the safe region")
-	}
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(6))
+		v := NewViterbi()
+		data := randBits(r, 120)
+		coded := Encode(data, Rate1_2)
+		decoded, err := v.DecodeHard(coded, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Without termination, only the bits older than the decision depth are
+		// guaranteed; check all but the last 3·K.
+		safe := len(data) - 3*ConstraintLength
+		if !bytes.Equal(decoded[:safe], data[:safe]) {
+			t.Error("unterminated decode failed in the safe region")
+		}
+	})
 }
 
 func TestViterbiEdgeCases(t *testing.T) {
-	v := NewViterbi()
-	if got, err := v.DecodeSoft(nil, true); err != nil || got != nil {
-		t.Errorf("empty decode = %v, %v", got, err)
-	}
-	if _, err := v.DecodeSoft(make([]float64, 3), true); err == nil {
-		t.Error("odd-length soft input should error")
-	}
-	if _, err := Depuncture(make([]float64, 5), 4, Rate1_2); err == nil {
-		t.Error("wrong-length depuncture should error")
-	}
+	forEachKernel(t, func(t *testing.T) {
+		v := NewViterbi()
+		if got, err := v.DecodeSoft(nil, true); err != nil || got != nil {
+			t.Errorf("empty decode = %v, %v", got, err)
+		}
+		if _, err := v.DecodeSoft(make([]float64, 3), true); err == nil {
+			t.Error("odd-length soft input should error")
+		}
+		if _, err := Depuncture(make([]float64, 5), 4, Rate1_2); err == nil {
+			t.Error("wrong-length depuncture should error")
+		}
+	})
 }
 
 func TestEncodeDecodePropertyAllRates(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	v := NewViterbi()
-	prop := func(seed int64, rateSel uint8) bool {
-		rate := []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6}[rateSel%4]
-		n := 30 * (1 + int(seed&3))
-		data := randBits(r, n)
-		padded := addTail(data)
-		coded := Encode(padded, rate)
-		llr := HardToLLR(nil, coded)
-		dep, err := Depuncture(llr, len(padded), rate)
-		if err != nil {
-			return false
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(7))
+		v := NewViterbi()
+		prop := func(seed int64, rateSel uint8) bool {
+			rate := []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6}[rateSel%4]
+			n := 30 * (1 + int(seed&3))
+			data := randBits(r, n)
+			padded := addTail(data)
+			coded := Encode(padded, rate)
+			llr := HardToLLR(nil, coded)
+			dep, err := Depuncture(llr, len(padded), rate)
+			if err != nil {
+				return false
+			}
+			dec, err := v.DecodeSoft(dep, true)
+			if err != nil {
+				return false
+			}
+			return bytes.Equal(dec[:n], data)
 		}
-		dec, err := v.DecodeSoft(dep, true)
-		if err != nil {
-			return false
+		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
 		}
-		return bytes.Equal(dec[:n], data)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 func BenchmarkViterbiRate12_1000bits(b *testing.B) {
@@ -310,119 +324,147 @@ func referenceDecode(llr []float64, terminated bool) []byte {
 }
 
 func TestViterbiButterflyMatchesReferenceSweep(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	v := NewViterbi()
-	for trial := 0; trial < 200; trial++ {
-		steps := 1 + r.Intn(400)
-		llr := make([]float64, 2*steps)
-		for i := range llr {
-			switch r.Intn(5) {
-			case 0:
-				llr[i] = 0 // erasure
-			case 1:
-				// Small integer LLRs force exact metric ties, exercising
-				// the prefer-earliest-predecessor rule.
-				llr[i] = float64(r.Intn(5) - 2)
-			default:
-				llr[i] = r.NormFloat64()
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(77))
+		v := NewViterbi()
+		for trial := 0; trial < 200; trial++ {
+			steps := 1 + r.Intn(400)
+			llr := make([]float64, 2*steps)
+			for i := range llr {
+				switch r.Intn(5) {
+				case 0:
+					llr[i] = 0 // erasure
+				case 1:
+					// Small integer LLRs force exact metric ties, exercising
+					// the prefer-earliest-predecessor rule.
+					llr[i] = float64(r.Intn(5) - 2)
+				default:
+					llr[i] = r.NormFloat64()
+				}
+			}
+			terminated := trial%2 == 0
+			got, err := v.DecodeSoft(llr, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceDecode(llr, terminated)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d (steps=%d terminated=%v): butterfly decode differs from reference sweep", trial, steps, terminated)
 			}
 		}
-		terminated := trial%2 == 0
-		got, err := v.DecodeSoft(llr, terminated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceDecode(llr, terminated)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (steps=%d terminated=%v): butterfly decode differs from reference sweep", trial, steps, terminated)
-		}
-	}
+	})
 }
 
 func TestViterbiReserveAvoidsDecodeAllocs(t *testing.T) {
-	r := rand.New(rand.NewSource(78))
-	data := addTail(randBits(r, 4000))
-	coded := Encode(data, Rate1_2)
-	llr := HardToLLR(nil, coded)
-	v := NewViterbi()
-	v.Reserve(len(data))
-	dst := make([]byte, len(data))
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := v.DecodeSoftInto(dst, llr, true); err != nil {
-			t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(78))
+		data := addTail(randBits(r, 4000))
+		coded := Encode(data, Rate1_2)
+		llr := HardToLLR(nil, coded)
+		v := NewViterbi()
+		v.Reserve(len(data))
+		dst := make([]byte, len(data))
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := v.DecodeSoftInto(dst, llr, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("DecodeSoftInto after Reserve allocated %.0f times per run, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("DecodeSoftInto after Reserve allocated %.0f times per run, want 0", allocs)
-	}
 }
 
 // TestViterbiNonFiniteLLRs pins the defined outcome for NaN and ±Inf
 // soft inputs: NaN decodes as an erasure and ±Inf as ±full scale, which
 // here is the largest finite |llr| (4), and neither moves the scale.
 func TestViterbiNonFiniteLLRs(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	v := NewViterbi()
-	for trial := 0; trial < 20; trial++ {
-		data := addTail(randBits(r, 200))
-		llr := HardToLLR(nil, Encode(data, Rate1_2))
-		for i := range llr {
-			llr[i] *= float64(1 + r.Intn(4))
-		}
-		llr[0] = math.Copysign(4, llr[0]) // the finite peak is 4
-		bad := append([]float64(nil), llr...)
-		fixed := append([]float64(nil), llr...)
-		for k := 0; k < 30; k++ {
-			i := 1 + r.Intn(len(llr)-1)
-			switch r.Intn(3) {
-			case 0:
-				bad[i], fixed[i] = math.NaN(), 0
-			case 1:
-				bad[i], fixed[i] = math.Inf(1), 4
-			default:
-				bad[i], fixed[i] = math.Inf(-1), -4
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(79))
+		v := NewViterbi()
+		for trial := 0; trial < 20; trial++ {
+			data := addTail(randBits(r, 200))
+			llr := HardToLLR(nil, Encode(data, Rate1_2))
+			for i := range llr {
+				llr[i] *= float64(1 + r.Intn(4))
+			}
+			llr[0] = math.Copysign(4, llr[0]) // the finite peak is 4
+			bad := append([]float64(nil), llr...)
+			fixed := append([]float64(nil), llr...)
+			for k := 0; k < 30; k++ {
+				i := 1 + r.Intn(len(llr)-1)
+				switch r.Intn(3) {
+				case 0:
+					bad[i], fixed[i] = math.NaN(), 0
+				case 1:
+					bad[i], fixed[i] = math.Inf(1), 4
+				default:
+					bad[i], fixed[i] = math.Inf(-1), -4
+				}
+			}
+			terminated := trial%2 == 0
+			got, err := v.DecodeSoft(bad, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceDecode(fixed, terminated); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d: decode with NaN/±Inf differs from decode with the values replaced by 0/±4", trial)
 			}
 		}
-		terminated := trial%2 == 0
-		got, err := v.DecodeSoft(bad, terminated)
+
+		// With no finite nonzero value at all the scale is arbitrary, so the
+		// result must still be the one the replaced input gives.
+		bad := []float64{math.NaN(), math.Inf(1), 0, math.Inf(-1), math.NaN(), math.NaN()}
+		fixed := []float64{0, 1, 0, -1, 0, 0}
+		got, err := v.DecodeSoft(bad, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceDecode(fixed, terminated); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: decode with NaN/±Inf differs from decode with the values replaced by 0/±4", trial)
+		if want := referenceDecode(fixed, false); !bytes.Equal(got, want) {
+			t.Fatalf("all non-finite input decoded to %v, want %v", got, want)
 		}
-	}
-
-	// With no finite nonzero value at all the scale is arbitrary, so the
-	// result must still be the one the replaced input gives.
-	bad := []float64{math.NaN(), math.Inf(1), 0, math.Inf(-1), math.NaN(), math.NaN()}
-	fixed := []float64{0, 1, 0, -1, 0, 0}
-	got, err := v.DecodeSoft(bad, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := referenceDecode(fixed, false); !bytes.Equal(got, want) {
-		t.Fatalf("all non-finite input decoded to %v, want %v", got, want)
-	}
+	})
 }
 
 // TestViterbiMaxPSDURange decodes the trellis of the largest 802.11n PSDU
 // (65,535 octets: 16 SERVICE bits, the payload and 6 tail bits, 524,302
-// steps) from full-scale hard LLRs, where the winning path metric grows to
-// about 2^44: the int64 metrics must neither overflow nor lose a tie.
+// steps) from full-scale hard LLRs. Every LLR quantises to ±2^24, so the
+// winning path metric grows by up to 2^25 a step and wraps around int32
+// thousands of times. The noiseless frame must decode to the sent bits;
+// with one coded bit in 12 flipped, and full-scale ties everywhere, the
+// decode must equal the float64 reference sweep at both terminations.
 func TestViterbiMaxPSDURange(t *testing.T) {
-	r := rand.New(rand.NewSource(80))
-	data := make([]byte, 16+8*65535+ConstraintLength-1)
-	for i := 16; i < 16+8*65535; i++ {
-		data[i] = byte(r.Intn(2))
-	}
-	got, err := NewViterbi().DecodeHard(Encode(data, Rate1_2), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("noiseless decode of the largest PSDU trellis is not bit-exact")
-	}
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(80))
+		data := make([]byte, 16+8*65535+ConstraintLength-1)
+		for i := 16; i < 16+8*65535; i++ {
+			data[i] = byte(r.Intn(2))
+		}
+		coded := Encode(data, Rate1_2)
+		v := NewViterbi()
+		got, err := v.DecodeHard(coded, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("noiseless decode of the largest PSDU trellis is not bit-exact")
+		}
+		for i := range coded {
+			if r.Intn(12) == 0 {
+				coded[i] ^= 1
+			}
+		}
+		llr := HardToLLR(nil, coded)
+		for _, terminated := range []bool{true, false} {
+			got, err := v.DecodeSoft(llr, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, referenceDecode(llr, terminated)) {
+				t.Fatalf("terminated=%v: decode of the largest PSDU trellis with flipped bits differs from the reference sweep", terminated)
+			}
+		}
+	})
 }
 
 // TestViterbiWideRangeMatchesReference puts one LLR of about 10^6 into
@@ -431,30 +473,32 @@ func TestViterbiMaxPSDURange(t *testing.T) {
 // exact ratios, ties included, so the decode equals the float64 reference
 // sweep.
 func TestViterbiWideRangeMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(81))
-	v := NewViterbi()
-	for trial := 0; trial < 50; trial++ {
-		data := addTail(randBits(r, 100+r.Intn(300)))
-		llr := HardToLLR(nil, Encode(data, Rate1_2))
-		for i := range llr {
-			llr[i] *= float64(1 + r.Intn(3))
-			switch r.Intn(20) {
-			case 0:
-				llr[i] = -llr[i] // a confident error
-			case 1:
-				llr[i] = 0
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(81))
+		v := NewViterbi()
+		for trial := 0; trial < 50; trial++ {
+			data := addTail(randBits(r, 100+r.Intn(300)))
+			llr := HardToLLR(nil, Encode(data, Rate1_2))
+			for i := range llr {
+				llr[i] *= float64(1 + r.Intn(3))
+				switch r.Intn(20) {
+				case 0:
+					llr[i] = -llr[i] // a confident error
+				case 1:
+					llr[i] = 0
+				}
+			}
+			llr[r.Intn(len(llr))] *= 1e6
+			terminated := trial%2 == 0
+			got, err := v.DecodeSoft(llr, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceDecode(llr, terminated); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d: decode with a 10^6 dynamic range differs from the reference sweep", trial)
 			}
 		}
-		llr[r.Intn(len(llr))] *= 1e6
-		terminated := trial%2 == 0
-		got, err := v.DecodeSoft(llr, terminated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := referenceDecode(llr, terminated); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: decode with a 10^6 dynamic range differs from the reference sweep", trial)
-		}
-	}
+	})
 }
 
 // TestViterbiAWGNMatchesReference checks the integer decoder against the
@@ -463,26 +507,94 @@ func TestViterbiWideRangeMatchesReference(t *testing.T) {
 // waterfall, where path metrics run close and a coarse quantiser would
 // flip decisions. Every frame must decode identically.
 func TestViterbiAWGNMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(82))
+	forEachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(82))
+		v := NewViterbi()
+		frames := 0
+		for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
+			for snrDB := -1; snrDB <= 5; snrDB++ {
+				for f := 0; f < 64; f++ {
+					soft := awgnFrame(r, 200+ConstraintLength-1, rate, float64(snrDB))
+					terminated := f%2 == 0
+					got, err := v.DecodeSoft(soft, terminated)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := referenceDecode(soft, terminated); !bytes.Equal(got, want) {
+						t.Errorf("rate %v, %d dB, frame %d: decode differs from the reference sweep", rate, snrDB, f)
+					}
+					frames++
+				}
+			}
+		}
+		if frames != 4*7*64 {
+			t.Fatalf("corpus ran %d frames, want %d", frames, 4*7*64)
+		}
+	})
+}
+
+// compareMotherReencode is the receiver's previous pre-FEC comparison, kept
+// as the oracle for CompareMother: encode the decision into a fresh slice,
+// then compare it with the hard decisions of the non-zero LLRs.
+func compareMotherReencode(decoded []byte, dep []float64) (errs, bits int) {
+	coded := Encode(decoded, Rate1_2)
+	n := min(len(coded), len(dep))
+	for i := 0; i < n; i++ {
+		llr := dep[i]
+		if llr == 0 {
+			continue
+		}
+		hard := byte(0)
+		if llr < 0 {
+			hard = 1
+		}
+		bits++
+		if hard != coded[i] {
+			errs++
+		}
+	}
+	return errs, bits
+}
+
+// TestCompareMotherMatchesReencode pins CompareMother to the re-encoding
+// comparison it replaced, on depunctured AWGN frames at every rate with
+// their erasures, decoded and with random decisions, with the LLR stream
+// longer than, as long as and shorter than (odd lengths too) the coded
+// decision, and with NaN and ±Inf values; and it must not allocate.
+func TestCompareMotherMatchesReencode(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
 	v := NewViterbi()
-	frames := 0
-	for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
-		for snrDB := -1; snrDB <= 5; snrDB++ {
-			for f := 0; f < 64; f++ {
-				soft := awgnFrame(r, 200+ConstraintLength-1, rate, float64(snrDB))
-				terminated := f%2 == 0
-				got, err := v.DecodeSoft(soft, terminated)
-				if err != nil {
-					t.Fatal(err)
+	for trial := 0; trial < 200; trial++ {
+		rate := []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6}[trial%4]
+		steps := 60 + r.Intn(400)
+		dep := awgnFrame(r, steps, rate, float64(r.Intn(8)-1))
+		for k := r.Intn(4); k > 0; k-- {
+			dep[r.Intn(len(dep))] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+		}
+		decoded, err := v.DecodeSoft(dep, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%5 == 0 {
+			decoded = randBits(r, steps)
+		}
+		for _, n := range []int{len(dep), len(dep) - 1 - r.Intn(100), 2 * (steps - 1 - r.Intn(50))} {
+			for _, d := range [][]byte{decoded, decoded[:n/2]} {
+				errs, bits := CompareMother(d, dep[:n])
+				wantErrs, wantBits := compareMotherReencode(d, dep[:n])
+				if errs != wantErrs || bits != wantBits {
+					t.Fatalf("trial %d, %d decisions, %d LLRs: CompareMother = %d/%d, re-encoding gives %d/%d",
+						trial, len(d), n, errs, bits, wantErrs, wantBits)
 				}
-				if want := referenceDecode(soft, terminated); !bytes.Equal(got, want) {
-					t.Errorf("rate %v, %d dB, frame %d: decode differs from the reference sweep", rate, snrDB, f)
-				}
-				frames++
 			}
 		}
 	}
-	if frames != 4*7*64 {
-		t.Fatalf("corpus ran %d frames, want %d", frames, 4*7*64)
+	dep := awgnFrame(r, 12022, Rate5_6, 3)
+	decoded, err := v.DecodeSoft(dep, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { CompareMother(decoded, dep) }); allocs != 0 {
+		t.Fatalf("CompareMother allocated %.0f times per call, want 0", allocs)
 	}
 }

@@ -62,26 +62,51 @@ const (
 // shard is one contiguous range [lo, hi) of a sharded decode's trellis.
 type shard struct {
 	lo, hi int
-	// metrics holds the shard's current and next path-metric vectors;
-	// final points at the one holding the metrics after the shard's last
-	// step.
-	metrics [2][numStates]int64
-	final   *[numStates]int64
+	// metrics is the shard's path-metric vector, advanced in place; after
+	// the last shard's run it holds the final metrics.
+	metrics [numStates]int32
+	// pq is the quantisation chunk: the (p, q) = (la+lb, la−lb) pairs of
+	// the next run of steps the ACS kernel takes in one call.
+	pq [acsChunk][2]int32
 	// head[j] is the shard's normalised metric vector (m[s] − m[0]) at step
 	// lo + j·checkpointEvery, recorded over its first window steps (shards
 	// after the first); published counts the entries written, so the
 	// predecessor may read head[:published] while this shard runs on.
-	head      [][numStates]int64
+	head      [][numStates]int32
 	published atomic.Int32
 	// tail[:tailN] are the normalised vectors at hi + j·checkpointEvery as
 	// the shard runs on into its successor's range, with that stretch's
 	// survivor words in overlap. coupled is the first j whose tail[j]
 	// equals the successor's head[j], or −1 while none is known.
-	tail    [][numStates]int64
+	tail    [][numStates]int32
 	tailN   int
 	overlap []uint64
 	coupled int
 }
+
+// acsChunk is the number of trellis steps quantised ahead of one call of
+// the ACS kernel.
+const acsChunk = 64
+
+// acsKernel advances the path metrics m in place over len(surv) trellis
+// steps, taking step i's branch inputs (p, q) = (la+lb, la−lb) from pq[i]
+// and writing its packed survivor bits to surv[i]. Bit s of a survivor word
+// is 1 iff the odd predecessor of state s strictly wins. Every kernel
+// computes the same int32 wrap-around arithmetic and so the same metrics
+// and survivors, bit for bit.
+type acsKernel func(m *[numStates]int32, pq [][2]int32, surv []uint64)
+
+// namedKernel is one entry of acsKernels.
+type namedKernel struct {
+	name string
+	run  acsKernel
+}
+
+// acs is the kernel every decode runs: the first of acsKernels, the host's
+// fastest, chosen once at package initialisation. acsKernels (one per
+// architecture file) lists every kernel the host can run; the tests run
+// each decode over each of them.
+var acs = acsKernels[0].run
 
 // NewViterbi returns a decoder that decodes on the calling goroutine.
 func NewViterbi() *Viterbi {
@@ -152,7 +177,7 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // grown only when its capacity is short and returned resliced to one byte
 // per trellis step.
 //
-// Path metrics are int64. One scan finds the largest finite |llr|, and each
+// Path metrics are int32. One scan finds the largest finite |llr|, and each
 // step quantises its two LLRs with the power-of-two scale that maps that
 // peak into (2^23, 2^24]. A power-of-two scale is exact in float64, so
 // hard (±1) and small-integer inputs quantise to exact integer multiples
@@ -161,12 +186,19 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // takes part in the peak scan. If the peak is below 2^-999 the scale is
 // capped at 2^1023.
 //
-// Headroom: a quantised LLR is at most 2^24 in magnitude, so a branch
-// metric is at most 2^25 and, once the six-step start-up has made every
-// state reachable, all metrics of step t lie within ±t·2^25 and every ACS
-// difference within ±(t+1)·2^26. That cannot overflow int64 below 2^36
-// steps; the largest 802.11n PSDU (65,535 octets) is 524,302 steps, so the
-// metrics are never renormalised.
+// Range: the metrics wrap around int32 and are never renormalised; every
+// decision compares two metrics by the sign of their wrapped difference,
+// which is exact while the true difference is below 2^31 in magnitude. A
+// quantised LLR is at most 2^24, so a branch metric is at most 2^25. Once
+// the six-step start-up has made every state reachable, any state reaches
+// any other in six steps, so the metrics of one step lie within 6·2^26 of
+// each other and every ACS difference is below 7·2^26 < 2^29. During the
+// start-up the unreachable states carry −2^30 plus branch sums, so a
+// reachable candidate beats an unreachable one by 2^30 ± 14·2^25 (between
+// about 0.56·2^30 and 1.44·2^30), and two unreachable candidates differ
+// exactly as two reachable ones do. The decisions, the normalised
+// checkpoint vectors and the unterminated argmax are therefore those of
+// exact integer arithmetic at any trellis length.
 //
 // The add-compare-select step runs over 32 radix-2 butterflies rather than
 // 128 state×input edges. Both generators (133, 171 octal) include the top
@@ -176,12 +208,14 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // drawn from ±p, ±q, where p = la+lb and q = la−lb (see acsStep). The
 // selection is strictly-greater in ascending predecessor order, so the
 // decoded bits equal those of the straightforward 128-edge sweep run over
-// the quantised LLRs.
+// the quantised LLRs. Steps are quantised in chunks and handed to the ACS
+// kernel (acs), which on amd64 hosts with AVX2 runs all 64 metrics in
+// vector registers and otherwise is the generated Go step.
 //
 // With more than one worker the trellis is split into up to that many
 // contiguous shards of at least 1024 steps, run concurrently. The result
 // is the one-shard decode's, bit for bit: ACS decisions depend only on the
-// differences between path metrics, and int64 sums are exact, so a shard
+// differences between path metrics, and those are exact, so a shard
 // started from all-equal metrics decides exactly as the full trellis does
 // from the first step at which its normalised metric vector equals its
 // predecessor's. The predecessor runs on past the boundary to find that
@@ -211,10 +245,10 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 
 	state := 0
 	if !terminated {
-		best := int64(math.MinInt64)
-		for s, m := range v.shards[n-1].final {
-			if m > best {
-				best, state = m, s
+		m := &v.shards[n-1].metrics
+		for s := range m {
+			if m[s]-m[state] > 0 { // wrapped difference, exact in range
+				state = s
 			}
 		}
 	}
@@ -290,37 +324,35 @@ func (v *Viterbi) join(n int) bool {
 //
 //mimonet:hot
 func (v *Viterbi) runShard(k, n int, llr []float64, scale float64) {
-	const unreachable = math.MinInt64 / 4
+	const unreachable = -1 << 30
 	s := v.shards[k]
-	cur, nxt := &s.metrics[0], &s.metrics[1]
-	*cur = [numStates]int64{}
+	s.metrics = [numStates]int32{}
 	if k == 0 {
 		for i := 1; i < numStates; i++ {
-			cur[i] = unreachable
+			s.metrics[i] = unreachable
 		}
 	}
 	t := s.lo
 	if k > 0 {
 		for j := 0; ; j++ {
-			normalise(&s.head[j], cur)
+			normalise(&s.head[j], &s.metrics)
 			s.published.Store(int32(j + 1))
 			if j*checkpointEvery == v.window {
 				break
 			}
-			cur, nxt = advance(cur, nxt, v.survivors[t:t+checkpointEvery], llr, t, scale)
+			s.advance(v.survivors[t:t+checkpointEvery], llr, t, scale)
 			t += checkpointEvery
 		}
 	}
-	cur, nxt = advance(cur, nxt, v.survivors[t:s.hi], llr, t, scale)
-	s.final = cur
+	s.advance(v.survivors[t:s.hi], llr, t, scale)
 	if k+1 == n {
-		return
+		return // the final metrics stay in s.metrics
 	}
 	next := v.shards[k+1]
 	s.coupled, s.tailN = -1, 0
 	compared := 0
 	for j := 0; ; j++ {
-		normalise(&s.tail[j], cur)
+		normalise(&s.tail[j], &s.metrics)
 		s.tailN = j + 1
 		for pub := int(next.published.Load()); compared < s.tailN && compared < pub; compared++ {
 			if s.tail[compared] == next.head[compared] {
@@ -331,25 +363,44 @@ func (v *Viterbi) runShard(k, n int, llr []float64, scale float64) {
 		if j*checkpointEvery == v.window {
 			return
 		}
-		cur, nxt = advance(cur, nxt, s.overlap[j*checkpointEvery:(j+1)*checkpointEvery], llr, s.hi+j*checkpointEvery, scale)
+		s.advance(s.overlap[j*checkpointEvery:(j+1)*checkpointEvery], llr, s.hi+j*checkpointEvery, scale)
 	}
 }
 
 // advance runs the ACS over the len(surv) trellis steps from step t0,
-// writing each step's survivor word to surv, and returns the metric vectors
-// swapped so that the first holds the metrics after the last step.
-func advance(cur, nxt *[numStates]int64, surv []uint64, llr []float64, t0 int, scale float64) (*[numStates]int64, *[numStates]int64) {
-	in := llr[2*t0 : 2*(t0+len(surv))]
-	for i := range surv {
-		la, lb := quantizeLLR(in[2*i], scale), quantizeLLR(in[2*i+1], scale)
-		surv[i] = acsStep(cur, nxt, la+lb, la-lb)
-		cur, nxt = nxt, cur
+// writing each step's survivor word to surv: it quantises a chunk of steps
+// into s.pq and hands the chunk to the kernel, until the run is done.
+func (s *shard) advance(surv []uint64, llr []float64, t0 int, scale float64) {
+	for len(surv) > 0 {
+		pq := s.pq[:min(len(surv), acsChunk)]
+		in := llr[2*t0 : 2*(t0+len(pq))]
+		for i := range pq {
+			la, lb := quantizeLLR(in[2*i], scale), quantizeLLR(in[2*i+1], scale)
+			pq[i] = [2]int32{la + lb, la - lb}
+		}
+		acs(&s.metrics, pq, surv[:len(pq)])
+		surv, t0 = surv[len(pq):], t0+len(pq)
 	}
-	return cur, nxt
 }
 
-// normalise writes m relative to state 0's metric into dst.
-func normalise(dst, m *[numStates]int64) {
+// acsGo is the portable kernel: the generated acsStep over each step,
+// alternating between m and a stack vector.
+func acsGo(m *[numStates]int32, pq [][2]int32, surv []uint64) {
+	var spare [numStates]int32
+	cur, nxt := m, &spare
+	for i := range surv {
+		surv[i] = acsStep(cur, nxt, pq[i][0], pq[i][1])
+		cur, nxt = nxt, cur
+	}
+	if cur != m {
+		*m = *cur
+	}
+}
+
+// normalise writes m relative to state 0's metric into dst. The wrapped
+// differences are the exact ones: checkpoints follow the six-step
+// start-up, after which the metrics span less than 2^29.
+func normalise(dst, m *[numStates]int32) {
 	for s := range m {
 		dst[s] = m[s] - m[0]
 	}
@@ -378,19 +429,23 @@ func llrScale(llr []float64) float64 {
 	return math.Ldexp(1, min(llrBits-exp, 1023))
 }
 
-// quantizeLLR scales x to an integer LLR: NaN is an erasure and values at
-// or past full scale (only ±Inf, given llrScale) clamp to it.
-func quantizeLLR(x, scale float64) int64 {
+// quantizeLLR scales x to an integer LLR, rounding half to even: NaN is an
+// erasure and values past full scale (only ±Inf, given llrScale) clamp to
+// it. Adding 1.5·2^52 to an |x| below 2^51 leaves x rounded to an integer,
+// ties to even, in the low mantissa bits of the sum, so the common case
+// takes one add and no rounding call.
+func quantizeLLR(x, scale float64) int32 {
+	const round = 0x1.8p52
 	x *= scale
 	switch {
-	case x != x:
-		return 0
-	case x >= llrFullScale:
+	case x >= -llrFullScale && x <= llrFullScale:
+		return int32(math.Float64bits(x + round))
+	case x > 0:
 		return llrFullScale
-	case x <= -llrFullScale:
+	case x < 0:
 		return -llrFullScale
 	}
-	return int64(math.RoundToEven(x))
+	return 0 // NaN
 }
 
 // DecodeHard decodes hard-decision coded bits (0/1, one per byte) by mapping
@@ -421,12 +476,12 @@ func (v *Viterbi) ensureShards(n int) {
 	cps := v.window/checkpointEvery + 1
 	for _, s := range v.shards[1:n] {
 		if len(s.head) < cps {
-			s.head = make([][numStates]int64, cps)
+			s.head = make([][numStates]int32, cps)
 		}
 	}
 	for _, s := range v.shards[:n-1] {
 		if len(s.tail) < cps {
-			s.tail = make([][numStates]int64, cps)
+			s.tail = make([][numStates]int32, cps)
 			s.overlap = make([]uint64, v.window)
 		}
 	}

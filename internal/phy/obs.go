@@ -3,7 +3,6 @@ package phy
 import (
 	"errors"
 
-	"repro/internal/fec"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
@@ -244,35 +243,6 @@ func (o *RxObs) updatePER() {
 	if total > 0 {
 		o.per.Set(float64(fails) / float64(total))
 	}
-}
-
-// preFECCompareMother re-encodes the Viterbi decision at the mother-code
-// rate 1/2 and counts disagreements with the hard decisions of the
-// depunctured LLR stream — the standard receiver-side channel-BER estimator,
-// exact whenever the decoder converged to the transmitted sequence
-// (FCS-verified packets). Zero LLRs — the punctured positions, which hold
-// erasures — are skipped, so only the surviving coded bits are counted.
-func preFECCompareMother(decoded []byte, dep []float64) (errs, bits int) {
-	coded := fec.Encode(decoded, fec.Rate1_2)
-	n := len(coded)
-	if len(dep) < n {
-		n = len(dep)
-	}
-	for i := 0; i < n; i++ {
-		llr := dep[i]
-		if llr == 0 {
-			continue
-		}
-		hard := byte(0)
-		if llr < 0 {
-			hard = 1
-		}
-		bits++
-		if hard != coded[i] {
-			errs++
-		}
-	}
-	return errs, bits
 }
 
 // sampleRateHz is the nominal front-end rate the CFO gauge reports against.

@@ -511,7 +511,12 @@ func (r *Receiver) decode(ctx *dataCtx, dep []float64, tr *obs.Trace) error {
 	}
 	r.decBuf = decoded
 	if r.obs != nil {
-		r.obs.prefec(preFECCompareMother(decoded, dep))
+		// The standard receiver-side channel-BER estimator: the decision
+		// re-encoded at the mother-code rate 1/2 against the hard decisions
+		// of the depunctured LLRs, exact whenever the decoder converged to
+		// the transmitted sequence (FCS-verified packets). The punctured
+		// positions hold erasures and are not counted.
+		r.obs.prefec(fec.CompareMother(decoded, dep))
 	}
 	r.descBuf = descrambleInto(r.descBuf, decoded)
 	psdu, err := bitutil.BitsToBytes(r.descBuf[16 : 16+8*ctx.htsig.Length])

@@ -173,7 +173,10 @@ func E12PipelineThroughput(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcv, err := phy.NewReceiver(phy.RxConfig{NumAntennas: 2, Detector: "mmse"})
+	// One worker: the RX row times the receiver on a single core, as the
+	// title says; the default (GOMAXPROCS) would spread passes A/C and the
+	// Viterbi shards over every core.
+	rcv, err := phy.NewReceiver(phy.RxConfig{NumAntennas: 2, Detector: "mmse", Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -280,21 +280,24 @@ func TestAnalyzerMatchesOracle(t *testing.T) {
 }
 
 // TestAnalyzerAllocatesOnlyTheReport pins that a warmed Analyzer allocates
-// the Report and its per-stream slice and nothing per tone, dead tones
-// included. (A singular tone still costs the inversion's error value.)
+// the Report and its per-stream slice and nothing per tone: dead and
+// singular tones included, since a singular inversion returns the fixed
+// cmatrix.ErrSingular.
 func TestAnalyzerAllocatesOnlyTheReport(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	h := oracleChannel(r, 52, 2, 2, -1, 3, -1)
-	var a Analyzer
-	if _, err := a.Analyze(h, 300); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, singular := range []int{-1, 7} {
+		h := oracleChannel(r, 52, 2, 2, -1, 3, singular)
+		var a Analyzer
 		if _, err := a.Analyze(h, 300); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("Analyze allocated %.0f times per call, want at most 2 (the Report and PerStreamSNRdB)", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := a.Analyze(h, 300); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("singular tone %d: Analyze allocated %.0f times per call, want at most 2 (the Report and PerStreamSNRdB)", singular, allocs)
+		}
 	}
 }
